@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -43,13 +44,13 @@ from .criteria import (
     damping_time_short,
 )
 from .noisefield import (
-    ConfigurationError,
     FieldGrid,
     default_workers,
     measured_covariance,
     simulate_phase_variance,
 )
 from .oracle import (
+    McEstimate,
     erf_identity_check,
     i4_closed_form,
     i6_closed_form,
@@ -57,7 +58,9 @@ from .oracle import (
     mc_i6_spatial,
     sn_cancellation_check,
 )
-from .units import DimensionlessParams, make_params, nondimensionalize, spreading_width
+from .units import (
+    DimensionlessParams, coupling, make_params, nondimensionalize, spreading_width,
+)
 from .variance import QuadratureError, phase_variance
 
 __all__ = ["RunConfig", "run", "parse_config", "emit", "console_entry"]
@@ -77,32 +80,60 @@ class RunConfig:
     output_path: str | None
 
 
-# flag schema per subcommand: key -> type ("seps" is a float list)
-_SCHEMAS: dict[str, dict[str, object]] = {
-    "variance": {
-        "mass": float, "width": float, "separation": float, "horizon": float,
-        "mu": float, "rho": float, "tau_max": float,
-    },
-    "criteria": {
-        "mass": float, "width": float, "separation": float,
-        "density": float, "threshold": float,
-    },
-    "sweep": {
-        "param": str, "start": float, "stop": float, "num": int,
-        "mass": float, "width": float, "separation": float, "threshold": float,
-    },
-    "oracle": {"samples": int, "seed": int, "workers": int},
-    "covariance": {
-        "grid_n": int, "box": float, "dt": float, "realizations": int,
-        "separations": "seps", "seed": int,
-    },
-    "simulate": {
-        "mass": float, "width": float, "separation": float, "horizon": float,
-        "grid_n": int, "box": float, "steps": int, "members": int,
-        "seed": int, "workers": int,
-    },
+# every flag, declared once: key -> (type, --help text). "seps" is a
+# comma-separated float list; a tuple lists the accepted strings.
+_FLAGS: dict[str, tuple[object, str]] = {
+    "mass": (float, "particle mass [kg]"),
+    "width": (float, "initial packet width a [m]"),
+    "separation": (float, "peak separation R [m]"),
+    "horizon": (float, "time horizon T [s]"),
+    "mu": (float, "G m^3 a / hbar^2"),
+    "rho": (float, "R / a"),
+    "tau_max": (float, "hbar T / m a^2"),
+    "density": (float, "material density [kg/m^3]"),
+    "threshold": (float, "variance threshold (default pi^2)"),
+    "param": (("mass", "width", "separation"), "swept parameter"),
+    "start": (float, "first value (SI)"),
+    "stop": (float, "last value (SI)"),
+    "num": (int, "number of grid points"),
+    "samples": (int, "MC samples per integral (default 1e6)"),
+    "seed": (int, "RNG seed (default 42)"),
+    "workers": (int, "worker threads"),
+    "grid_n": (int, "grid points per axis"),
+    "box": (float, "box length [m]"),
+    "dt": (float, "time step [s]"),
+    "realizations": (int, "field realizations (>= 100)"),
+    "separations": ("seps", "comma-separated separations [m]"),
+    "steps": (int, "time steps"),
+    "members": (int, "ensemble members (>= 64)"),
 }
 _COMMON_KEYS = {"format": str, "output": str}
+
+# subcommand -> (--help text, its flags in --help order)
+_COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "variance": ("phase-variance breakdown",
+                 ("mass", "width", "separation", "horizon", "mu", "rho", "tau_max")),
+    "criteria": ("decoherence time, critical length and mass, regime",
+                 ("mass", "width", "separation", "density", "threshold")),
+    "sweep": ("geometric sweep of mass, width, or separation",
+              ("param", "start", "stop", "num", "mass", "width", "separation",
+               "threshold")),
+    "oracle": ("run the Monte Carlo / quadrature verification suite",
+               ("samples", "seed", "workers")),
+    "covariance": ("measure the sampled noise-field covariance",
+                   ("grid_n", "box", "dt", "realizations", "separations", "seed")),
+    "simulate": ("ensemble phase variance vs the analytic value",
+                 ("mass", "width", "separation", "horizon", "grid_n", "box",
+                  "steps", "members", "seed", "workers")),
+}
+
+# --help text that differs from the shared one in one subcommand
+_HELP_OVERRIDES = {
+    ("sweep", "mass"): "fixed mass [kg]",
+    ("sweep", "width"): "fixed width [m]",
+    ("sweep", "separation"): "fixed separation [m]",
+    ("simulate", "box"): "box length [m] (default 8 max(R, C1(T)^0.5))",
+}
 
 # physics-symbol aliases accepted in config files
 _ALIASES = {"m": "mass", "a": "width", "R": "separation", "T": "horizon"}
@@ -119,6 +150,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gravphase",
@@ -126,64 +158,19 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, keys) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="config file (key = value lines, or JSON)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
         sp.add_argument("--output", help="output path (default stdout)")
-        return sp
-
-    sp = add("variance", "phase-variance breakdown")
-    sp.add_argument("--mass", type=float, help="particle mass [kg]")
-    sp.add_argument("--width", type=float, help="initial packet width a [m]")
-    sp.add_argument("--separation", type=float, help="peak separation R [m]")
-    sp.add_argument("--horizon", type=float, help="time horizon T [s]")
-    sp.add_argument("--mu", type=float, help="G m^3 a / hbar^2")
-    sp.add_argument("--rho", type=float, help="R / a")
-    sp.add_argument("--tau-max", dest="tau_max", type=float, help="hbar T / m a^2")
-
-    sp = add("criteria", "decoherence time, critical length and mass, regime")
-    sp.add_argument("--mass", type=float, help="particle mass [kg]")
-    sp.add_argument("--width", type=float, help="initial packet width a [m]")
-    sp.add_argument("--separation", type=float, help="peak separation R [m]")
-    sp.add_argument("--density", type=float, help="material density [kg/m^3]")
-    sp.add_argument("--threshold", type=float, help="variance threshold (default pi^2)")
-
-    sp = add("sweep", "geometric sweep of mass, width, or separation")
-    sp.add_argument("--param", choices=["mass", "width", "separation"], help="swept parameter")
-    sp.add_argument("--start", type=float, help="first value (SI)")
-    sp.add_argument("--stop", type=float, help="last value (SI)")
-    sp.add_argument("--num", type=int, help="number of grid points")
-    sp.add_argument("--mass", type=float, help="fixed mass [kg]")
-    sp.add_argument("--width", type=float, help="fixed width [m]")
-    sp.add_argument("--separation", type=float, help="fixed separation [m]")
-    sp.add_argument("--threshold", type=float, help="variance threshold (default pi^2)")
-
-    sp = add("oracle", "run the Monte Carlo / quadrature verification suite")
-    sp.add_argument("--samples", type=int, help="MC samples per integral (default 1e6)")
-    sp.add_argument("--seed", type=int, help="RNG seed (default 42)")
-    sp.add_argument("--workers", type=int, help="worker threads")
-
-    sp = add("covariance", "measure the sampled noise-field covariance")
-    sp.add_argument("--grid-n", dest="grid_n", type=int, help="grid points per axis")
-    sp.add_argument("--box", type=float, help="box length [m]")
-    sp.add_argument("--dt", type=float, help="time step [s]")
-    sp.add_argument("--realizations", type=int, help="field realizations (>= 100)")
-    sp.add_argument("--separations", help="comma-separated separations [m]")
-    sp.add_argument("--seed", type=int, help="RNG seed (default 42)")
-
-    sp = add("simulate", "ensemble phase variance vs the analytic value")
-    sp.add_argument("--mass", type=float, help="particle mass [kg]")
-    sp.add_argument("--width", type=float, help="initial packet width a [m]")
-    sp.add_argument("--separation", type=float, help="peak separation R [m]")
-    sp.add_argument("--horizon", type=float, help="time horizon T [s]")
-    sp.add_argument("--grid-n", dest="grid_n", type=int, help="grid points per axis")
-    sp.add_argument("--box", type=float, help="box length [m] (default 8 max(R, C1(T)^0.5))")
-    sp.add_argument("--steps", type=int, help="time steps")
-    sp.add_argument("--members", type=int, help="ensemble members (>= 64)")
-    sp.add_argument("--seed", type=int, help="RNG seed (default 42)")
-    sp.add_argument("--workers", type=int, help="worker threads")
+        for key in keys:
+            target, flag_help = _FLAGS[key]
+            sp.add_argument(
+                "--" + key.replace("_", "-"),
+                type=target if target in (int, float) else None,
+                choices=target if isinstance(target, tuple) else None,
+                help=_HELP_OVERRIDES.get((name, key), flag_help),
+            )
     return p
 
 
@@ -192,9 +179,11 @@ def _coerce(key: str, value, target) -> object:
         if isinstance(value, (list, tuple)):
             return [float(v) for v in value]
         return [float(tok) for tok in str(value).split(",") if tok.strip()]
-    if target is str:
-        return str(value)
     try:
+        if isinstance(target, tuple):
+            if str(value) not in target:
+                raise ValueError
+            return str(value)
         if target is int:
             f = float(value)
             if f != int(f):
@@ -205,7 +194,7 @@ def _coerce(key: str, value, target) -> object:
         raise _UsageError(f"invalid value for config key '{key}': {value!r}") from None
 
 
-def _read_config_file(path: str, schema: dict) -> dict:
+def _read_config_file(path: str, keys: tuple[str, ...]) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -231,8 +220,8 @@ def _read_config_file(path: str, schema: dict) -> dict:
     out: dict = {}
     for key, value in raw.items():
         canonical = _ALIASES.get(key, key).replace("-", "_")
-        if canonical in schema:
-            out[canonical] = _coerce(key, value, schema[canonical])
+        if canonical in keys:
+            out[canonical] = _coerce(key, value, _FLAGS[canonical][0])
         elif canonical in _COMMON_KEYS:
             out[canonical] = str(value)
         else:
@@ -242,14 +231,14 @@ def _read_config_file(path: str, schema: dict) -> dict:
 
 def parse_config(ns: argparse.Namespace) -> RunConfig:
     """Merge config-file values (if any) under explicit CLI flags."""
-    schema = _SCHEMAS[ns.subcommand]
+    keys = _COMMANDS[ns.subcommand][1]
     merged = dict(_DEFAULTS[ns.subcommand])
     if getattr(ns, "config", None):
-        merged.update(_read_config_file(ns.config, schema))
-    for key in schema:
+        merged.update(_read_config_file(ns.config, keys))
+    for key in keys:
         value = getattr(ns, key, None)
         if value is not None:
-            merged[key] = _coerce(key, value, schema[key])
+            merged[key] = _coerce(key, value, _FLAGS[key][0])
     fmt = ns.format or merged.pop("format", None) or "json"
     if fmt not in ("csv", "json"):
         raise _UsageError(f"invalid value for config key 'format': {fmt!r}")
@@ -341,6 +330,7 @@ def _cmd_sweep(params: dict) -> tuple[list[dict], bool]:
     th = Threshold(variance_threshold=params["threshold"])
     fixed = {k: params.get(k) for k in ("mass", "width", "separation")}
     records = []
+    lengths: dict = {}  # one critical_length per distinct (mass, width)
     for value in np.geomspace(start, stop, num):
         point = dict(fixed)
         point[param] = float(value)
@@ -348,8 +338,10 @@ def _cmd_sweep(params: dict) -> tuple[list[dict], bool]:
         if mass is None or width is None:
             raise _UsageError("sweep requires mass and width (swept or fixed)")
         row: dict = {"mass": mass, "width": width}
-        clr = critical_length(mass, width, th=th)
-        row["mu"] = nondimensionalize(make_params(mass, width, 0.0, 1.0)).mu
+        if (mass, width) not in lengths:
+            lengths[mass, width] = critical_length(mass, width, th=th)
+        clr = lengths[mass, width]
+        row["mu"] = coupling(mass, width)
         row["critical_length"] = clr.l_c
         row["critical_length_method"] = clr.method.value
         row["critical_length_asymptote"] = clr.asymptote
@@ -371,6 +363,18 @@ def _oracle_row(check: str, **kw) -> dict:
     return row
 
 
+def _mc_row(check: str, est: McEstimate, target: float, **kw) -> dict:
+    # pass bound: 3 SE or 1% of the target, whichever is looser, so small
+    # sample counts stay statistically meaningful
+    resid = abs(est.value - target)
+    tol = max(3.0 * est.standard_error, 0.01 * abs(target))
+    return _oracle_row(
+        check, value=est.value, target=target, residual=resid,
+        standard_error=est.standard_error, tolerance=tol,
+        passed=bool(resid < tol), **kw,
+    )
+
+
 def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
     n, seed = params["samples"], params["seed"]
     workers = params.get("workers") or default_workers()
@@ -386,32 +390,14 @@ def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
             passed=abs(rep.sum_value) < tol,
         )
     )
-    # pass bound: 3 SE or 1% of the target, whichever is looser, so small
-    # sample counts stay statistically meaningful
     for c1 in (0.25, 1.0, 4.0):
         est = mc_i4_spatial(c1, n, seed, workers=workers)
-        target = i4_closed_form(c1)
-        resid = abs(est.value - target)
-        tol = max(3.0 * est.standard_error, 0.01 * abs(target))
-        records.append(
-            _oracle_row(
-                "i4_closed_form", c1=c1, value=est.value, target=target,
-                residual=resid, standard_error=est.standard_error,
-                tolerance=tol, passed=bool(resid < tol),
-            )
-        )
+        records.append(_mc_row("i4_closed_form", est, i4_closed_form(c1), c1=c1))
     for ratio in (0.5, 1.0, 3.0):
         est = mc_i6_spatial(1.0, ratio, n, seed, workers=workers)
-        target = i6_closed_form(1.0, ratio)
-        resid = abs(est.value - target)
-        tol = max(3.0 * est.standard_error, 0.01 * abs(target))
         records.append(
-            _oracle_row(
-                "i6_closed_form", c1=1.0, separation=ratio, value=est.value,
-                target=target, residual=resid,
-                standard_error=est.standard_error,
-                tolerance=tol, passed=bool(resid < tol),
-            )
+            _mc_row("i6_closed_form", est, i6_closed_form(1.0, ratio),
+                    c1=1.0, separation=ratio)
         )
     for ratio in (0.1, 1.0, 5.0):
         resid = erf_identity_check(ratio, 1.0)
@@ -500,28 +486,17 @@ def _fmt_float(v: float) -> str:
     return s
 
 
-def _scalar_csv(v) -> str:
+def _scalar(v, csv_cell: bool) -> str:
+    """One value as a CSV cell or a JSON literal."""
     if isinstance(v, np.generic):
         v = v.item()
     if v is None:
-        return ""
+        return "" if csv_cell else "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return _fmt_float(v)
-    return str(v)
-
-
-def _scalar_json(v) -> str:
-    if isinstance(v, np.generic):
-        v = v.item()
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, int):
+    if csv_cell or isinstance(v, int):
         return str(v)
     return json.dumps(v)
 
@@ -548,13 +523,13 @@ def emit(records: list[dict], output_format: str, path: str | None = None) -> No
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
         for rec in records:
-            writer.writerow([_scalar_csv(rec[k]) for k in keys])
+            writer.writerow([_scalar(rec[k], csv_cell=True) for k in keys])
         text = buf.getvalue()
     else:
         lines = []
         for rec in records:
             fields = ", ".join(
-                f"{json.dumps(k)}: {_scalar_json(v)}" for k, v in rec.items()
+                f"{json.dumps(k)}: {_scalar(v, csv_cell=False)}" for k, v in rec.items()
             )
             lines.append("  {" + fields + "}")
         text = "[\n" + ",\n".join(lines) + "\n]\n"
@@ -574,10 +549,7 @@ def run(argv: list[str]) -> int:
     try:
         cfg = parse_config(ns)
         records, failed = _DISPATCH[cfg.subcommand](cfg.params)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, ConfigurationError) as e:
+    except ValueError as e:  # includes _UsageError and ConfigurationError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (QuadratureError, BracketError, FloatingPointError, OverflowError) as e:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from .units import CODATA2018, DimensionlessParams, PacketPair, PhysicalConstants
+from .units import CODATA2018, DimensionlessParams, PacketPair, PhysicalConstants, coupling
 from .variance import phase_variance
 
 __all__ = [
@@ -120,7 +120,7 @@ def damping_time(
     the cap itself is returned as a "no decoherence at cap" sentinel rather
     than raising.
     """
-    mu = constants.G * p.m**3 * p.a / constants.hbar**2
+    mu = coupling(p.m, p.a, constants)
     rho = p.R / p.a
     t_unit = p.m * p.a**2 / constants.hbar  # seconds per unit tau
     tau_cap = t_cap / t_unit
@@ -204,7 +204,7 @@ def critical_length(
     """
     if m <= 0 or a <= 0:
         raise ValueError("m and a must be positive")
-    mu = constants.G * m**3 * a / constants.hbar**2
+    mu = coupling(m, a, constants)
     target = th.variance_threshold
 
     g = lambda rho: _total(mu, rho, rho * rho) - target
@@ -277,7 +277,7 @@ def classify(
     """
     if a is None:
         a = width_from_density(m, density)
-    mu = constants.G * m**3 * a / constants.hbar**2
+    mu = coupling(m, a, constants)
     ratio = mu**-0.25 if mu >= 1.0 else mu**-0.5
     if abs(ratio - 1.0) <= band:
         return Regime.BOUNDARY

@@ -24,10 +24,18 @@ quantity with no continuum meaning) and no nonzero lag.
 The 1/sqrt(dt) factor realizes the white-in-time normalization on a
 discrete time grid: fields at different steps are independent, and the
 covariance times dt reproduces the delta-correlation weight.
+
+Every random draw in the package, here and in the oracle, comes from
+``stream``: a Philox generator keyed by (seed, domain tag) with counter
+(0, member, step, batch), so a draw depends only on what it is for, never
+on which worker makes it. ``parallel_map`` returns results in input
+order, so reductions run in a fixed order and results are bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,8 +68,6 @@ _TAG_COV = 0xC0
 _TAG_SIM = 0x51
 
 _MIN_MEMBERS = 64
-
-_spectrum_cache: dict[tuple[int, float], np.ndarray] = {}
 
 
 class ConfigurationError(ValueError):
@@ -129,12 +135,26 @@ def default_workers() -> int:
     return 1
 
 
+def parallel_map(fn, *iterables, workers: int | None = None) -> list:
+    """``list(map(fn, *iterables))``, run on up to ``workers`` threads."""
+    if workers is None or workers <= 1:
+        return list(map(fn, *iterables))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, *iterables))
+
+
+def stream(
+    seed: int, tag: int, member: int = 0, step: int = 0, batch: int = 0
+) -> Generator:
+    """Generator for one (seed, tag) stream at counter (0, member, step, batch)."""
+    key = np.array([seed, tag], dtype=np.uint64)
+    counter = np.array([0, member, step, batch], dtype=np.uint64)
+    return Generator(Philox(key=key, counter=counter))
+
+
+@functools.lru_cache(maxsize=8)
 def _unit_spectrum(n: int, dx: float) -> np.ndarray:
     """DFT of the min-image 1/r kernel row for unit coupling; always >= 0."""
-    key = (n, dx)
-    cached = _spectrum_cache.get(key)
-    if cached is not None:
-        return cached
     o = (np.arange(n) + n // 2) % n - n // 2
     ox, oy, oz = np.meshgrid(o, o, o, indexing="ij", sparse=True)
     r = np.sqrt((ox * ox + oy * oy + oz * oz).astype(float)) * dx
@@ -145,17 +165,8 @@ def _unit_spectrum(n: int, dx: float) -> np.ndarray:
     floor = p.min()
     if floor < 0.0:
         p -= floor  # uniform lift: shifts only the coincident-point value
-    if len(_spectrum_cache) > 8:
-        _spectrum_cache.clear()
-    _spectrum_cache[key] = p
+    p.flags.writeable = False  # cached, so every caller shares this array
     return p
-
-
-def _white(seed: int, tag: int, member: int, step: int, n: int) -> np.ndarray:
-    key = np.array([seed, tag], dtype=np.uint64)
-    counter = np.array([0, member, step, 0], dtype=np.uint64)
-    g = Generator(Philox(key=key, counter=counter))
-    return g.standard_normal((n, n, n))
 
 
 def sample_field_step(
@@ -179,7 +190,7 @@ def sample_field_step(
     if zero_mean:
         amp = amp.copy()
         amp[0, 0, 0] = 0.0
-    w = _white(grid.seed, _TAG_FIELD, member, step, grid.n)
+    w = stream(grid.seed, _TAG_FIELD, member, step).standard_normal((grid.n,) * 3)
     return np.fft.ifftn(np.fft.fftn(w) * amp).real / math.sqrt(grid.dt)
 
 
@@ -211,7 +222,7 @@ def measured_covariance(
     n = grid.n
     per_real = np.empty((n_realizations, len(lags)))
     for m in range(n_realizations):
-        w = _white(grid.seed, _TAG_COV, m, 0, n)
+        w = stream(grid.seed, _TAG_COV, m).standard_normal((n, n, n))
         wh = np.fft.fftn(w)
         # covariance*dt of the synthesized field, all lags at once
         acov = np.fft.ifftn((wh.real**2 + wh.imag**2) * p).real / n**3
@@ -329,20 +340,13 @@ def simulate_phase_variance(
     def member_phase(mem: int) -> float:
         acc = 0.0
         for s in range(grid.n_steps):
-            w = _white(grid.seed, _TAG_SIM, mem, s, n)
+            w = stream(grid.seed, _TAG_SIM, mem, s).standard_normal((n, n, n))
             phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
             acc += float(np.dot(diffs[s], phi.ravel()))
         return -scale * acc
 
     nw = workers if workers is not None else default_workers()
-    phases = np.empty(n_members)
-    if nw <= 1:
-        for mem in range(n_members):
-            phases[mem] = member_phase(mem)
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            for mem, val in enumerate(ex.map(member_phase, range(n_members))):
-                phases[mem] = val
+    phases = np.array(parallel_map(member_phase, range(n_members), workers=nw))
 
     mean = float(phases.mean())
     var = float(phases.var(ddof=1))

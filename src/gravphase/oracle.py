@@ -17,14 +17,13 @@ workers execute the batches.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 from scipy.integrate import quad
 from scipy.special import erf
 
+from .noisefield import parallel_map, stream
 from .packets import GaussianPacket, self_potential_at_center
 from .units import NATURAL
 
@@ -87,17 +86,6 @@ class CancellationReport:
     seed: int
 
 
-def _stream(seed: int, tag: int, batch: int) -> Generator:
-    key = np.array([seed, tag], dtype=np.uint64)
-    counter = np.array([0, 0, 0, batch], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=counter))
-
-
-def _batch_sizes(n: int) -> list[int]:
-    full, rem = divmod(n, _BATCH)
-    return [_BATCH] * full + ([rem] if rem else [])
-
-
 def _reduce_batches(partials: list[tuple[float, float, int]]) -> tuple[float, float]:
     """Combine per-batch (sum, sum of squares, count) in fixed order."""
     s = math.fsum(p[0] for p in partials)
@@ -108,60 +96,46 @@ def _reduce_batches(partials: list[tuple[float, float, int]]) -> tuple[float, fl
     return mean, math.sqrt(var / n)
 
 
-def _run_batches(task, n: int, workers: int | None) -> tuple[float, float]:
-    sizes = _batch_sizes(n)
-    if workers is None or workers <= 1:
-        partials = [task(b, cnt) for b, cnt in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(task, range(len(sizes)), sizes))
-    return _reduce_batches(partials)
+def _mean_inv_distance(
+    seed: int, tag: int, n: int, c1: float, shift: float, workers: int | None,
+    single: bool = False,
+) -> tuple[float, float]:
+    """Mean and standard error of 1/|z' - z''| at per-axis variance C1/2."""
+    sigma = math.sqrt(c1 / 2.0)
+    full, rem = divmod(n, _BATCH)
+    sizes = [_BATCH] * full + ([rem] if rem else [])
+    task = lambda b, cnt: _inv_distance_batch(seed, tag, b, cnt, sigma, shift, single)
+    return _reduce_batches(parallel_map(task, range(len(sizes)), sizes, workers=workers))
 
 
 def _inv_distance_batch(
-    seed: int, tag: int, batch: int, count: int, sigma: float, shift: float
+    seed: int, tag: int, batch: int, count: int, sigma: float, shift: float,
+    single: bool,
 ) -> tuple[float, float, int]:
     """Sum and sum-of-squares of 1/|z' - z''| over one batch.
 
     z' and z'' are isotropic Gaussians with per-axis deviation sigma, the
-    second displaced by ``shift`` along x. Samples closer than
-    1e-12 sigma are redrawn from the same stream: a probability-zero
-    configuration that would otherwise overflow.
+    second displaced by ``shift`` along x; ``single`` fixes z'' = 0, giving
+    1/|z'|. Samples closer than 1e-12 sigma are redrawn from the same
+    stream: a probability-zero configuration that would otherwise overflow.
     """
-    g = _stream(seed, tag, batch)
-    z1 = g.standard_normal((count, 3))
-    z2 = g.standard_normal((count, 3))
-    w = (z1 - z2) * sigma
-    w[:, 0] -= shift
-    r = np.sqrt(np.einsum("ij,ij->i", w, w))
+    g = stream(seed, tag, batch=batch)
+
+    def radii(k: int) -> np.ndarray:
+        w = g.standard_normal((k, 3))
+        if not single:
+            w = w - g.standard_normal((k, 3))
+        w = w * sigma
+        w[:, 0] -= shift
+        return np.sqrt(np.einsum("ij,ij->i", w, w))
+
+    r = radii(count)
     floor = 1e-12 * sigma
     while True:
         bad = np.flatnonzero(r < floor)
         if bad.size == 0:
             break
-        z1b = g.standard_normal((bad.size, 3))
-        z2b = g.standard_normal((bad.size, 3))
-        wb = (z1b - z2b) * sigma
-        wb[:, 0] -= shift
-        r[bad] = np.sqrt(np.einsum("ij,ij->i", wb, wb))
-    v = 1.0 / r
-    return float(v.sum()), float(np.dot(v, v)), count
-
-
-def _inv_radius_batch(
-    seed: int, tag: int, batch: int, count: int, sigma: float
-) -> tuple[float, float, int]:
-    """Sum and sum-of-squares of 1/|z| for a single isotropic Gaussian."""
-    g = _stream(seed, tag, batch)
-    z = g.standard_normal((count, 3)) * sigma
-    r = np.sqrt(np.einsum("ij,ij->i", z, z))
-    floor = 1e-12 * sigma
-    while True:
-        bad = np.flatnonzero(r < floor)
-        if bad.size == 0:
-            break
-        zb = g.standard_normal((bad.size, 3)) * sigma
-        r[bad] = np.sqrt(np.einsum("ij,ij->i", zb, zb))
+        r[bad] = radii(bad.size)
     v = 1.0 / r
     return float(v.sum()), float(np.dot(v, v)), count
 
@@ -186,9 +160,7 @@ def mc_i4_spatial(
     sqrt(2/pi)/sqrt(C1).
     """
     _check_mc_args(c1, n)
-    sigma = math.sqrt(c1 / 2.0)
-    task = lambda b, cnt: _inv_distance_batch(seed, _TAG_I4, b, cnt, sigma, 0.0)
-    mean, se = _run_batches(task, n, workers)
+    mean, se = _mean_inv_distance(seed, _TAG_I4, n, c1, 0.0, workers)
     return McEstimate(value=mean, standard_error=se, n_samples=n, seed=seed)
 
 
@@ -203,9 +175,7 @@ def mc_i6_spatial(
     _check_mc_args(c1, n)
     if not R > 0:
         raise ValueError(f"R must be positive, got {R}")
-    sigma = math.sqrt(c1 / 2.0)
-    task = lambda b, cnt: _inv_distance_batch(seed, _TAG_I6, b, cnt, sigma, R)
-    mean, se = _run_batches(task, n, workers)
+    mean, se = _mean_inv_distance(seed, _TAG_I6, n, c1, R, workers)
     return McEstimate(value=-2.0 * mean, standard_error=2.0 * se, n_samples=n, seed=seed)
 
 
@@ -230,11 +200,8 @@ def sn_cancellation_check(
         p2, 0.0, NATURAL
     )
 
-    sigma = math.sqrt(c1 / 2.0)
-
     def u_hat(tag: int) -> tuple[float, float]:
-        task = lambda b, cnt: _inv_radius_batch(seed, tag, b, cnt, sigma)
-        return _run_batches(task, n, workers)
+        return _mean_inv_distance(seed, tag, n, c1, 0.0, workers, single=True)
 
     ua, sea = u_hat(_TAG_U_A1)
     uap, seap = u_hat(_TAG_U_A2)

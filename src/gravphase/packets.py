@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import CODATA2018, PhysicalConstants
+from .units import CODATA2018, PhysicalConstants, spreading_width
 
 __all__ = ["GaussianPacket", "density", "self_potential_at_center"]
 
@@ -36,10 +36,7 @@ class GaussianPacket:
             raise ValueError(f"mass m must be positive, got {self.m}")
 
     def c1(self, t: float, constants: PhysicalConstants = CODATA2018) -> float:
-        if t < 0:
-            raise ValueError(f"time t must be non-negative, got {t}")
-        tau = constants.hbar * t / (self.m * self.a**2)
-        return self.a**2 * (1.0 + tau * tau)
+        return spreading_width(self, t, constants)
 
 
 def density(

@@ -23,6 +23,8 @@ __all__ = [
     "CODATA2018",
     "NATURAL",
     "make_params",
+    "coupling",
+    "scaled_time",
     "nondimensionalize",
     "redimensionalize",
     "spreading_width",
@@ -105,6 +107,21 @@ def make_params(m: float, a: float, R: float, T: float) -> PacketPair:
     return PacketPair(m=float(m), a=float(a), R=float(R), T=float(T))
 
 
+def coupling(m: float, a: float, constants: PhysicalConstants = CODATA2018) -> float:
+    """mu = G m^3 a / hbar^2; OverflowError if it leaves (0, inf)."""
+    mu = constants.G * m**3 * a / constants.hbar**2
+    if mu == 0.0 or not math.isfinite(mu):
+        raise OverflowError(f"mu = G m^3 a / hbar^2 is {mu} for m = {m}, a = {a}")
+    return mu
+
+
+def scaled_time(
+    m: float, a: float, t: float, constants: PhysicalConstants = CODATA2018
+) -> float:
+    """Time in spreading units, tau = hbar t / (m a^2)."""
+    return constants.hbar * t / (m * a**2)
+
+
 def nondimensionalize(
     p: PacketPair, constants: PhysicalConstants = CODATA2018
 ) -> DimensionlessParams:
@@ -113,13 +130,13 @@ def nondimensionalize(
     Raises OverflowError if the inputs are so extreme that a group
     overflows or underflows to a non-finite or zero value.
     """
-    mu = constants.G * p.m**3 * p.a / constants.hbar**2
+    mu = coupling(p.m, p.a, constants)
     rho = p.R / p.a
-    tau_max = constants.hbar * p.T / (p.m * p.a**2)
-    for name, value in (("mu", mu), ("rho", rho), ("tau_max", tau_max)):
+    tau_max = scaled_time(p.m, p.a, p.T, constants)
+    for name, value in (("rho", rho), ("tau_max", tau_max)):
         if not math.isfinite(value):
             raise OverflowError(f"{name} overflowed for inputs {p}")
-    if mu == 0.0 or tau_max == 0.0:
+    if tau_max == 0.0:
         raise OverflowError(f"dimensionless groups underflowed for inputs {p}")
     return DimensionlessParams(mu=mu, rho=rho, tau_max=tau_max)
 
@@ -142,5 +159,5 @@ def spreading_width(
     """Squared width C1(t) = a^2 (1 + hbar^2 t^2 / m^2 a^4) of a free packet [m^2]."""
     if t < 0:
         raise ValueError(f"time t must be non-negative, got {t}")
-    tau = constants.hbar * t / (p.m * p.a**2)
+    tau = scaled_time(p.m, p.a, t, constants)
     return p.a**2 * (1.0 + tau * tau)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
@@ -137,23 +136,10 @@ def _quad(fn, lo: float, hi: float, rtol: float = _QUAD_RTOL):
 def i8(d: DimensionlessParams) -> float:
     """Second variance term, (2 mu / rho) int erf(rho / sqrt(2 (1+tau^2))) dtau.
 
-    Evaluated by adaptive quadrature after the substitution tau = sinh(u),
-    which maps arbitrarily long horizons onto a short, smooth interval.
-    The rho -> 0 limit is handled analytically (i8 -> i7).
+    Reported as i7 - total from ``phase_variance``, which never subtracts
+    two large quadrature results; i8 -> i7 as rho -> 0.
     """
-    if d.rho == 0.0:
-        return i7(d)
-    if d.rho < _RHO_SERIES_MAX:
-        return i7(d) - _total_series(d.mu, d.rho, d.tau_max)
-    rho = d.rho
-    umax = math.asinh(d.tau_max)
-
-    def g(u: float) -> float:
-        ch = math.cosh(u)
-        return erf(rho / (math.sqrt(2.0) * ch)) * ch
-
-    val, _ = _quad(g, 0.0, umax)
-    return 2.0 * d.mu / rho * val
+    return phase_variance(d).i8
 
 
 def phase_variance(d: DimensionlessParams) -> VarianceBreakdown:

@@ -232,3 +232,54 @@ def test_emit_csv_header_and_round_trip(capsys):
 
 def test_version_flag():
     assert run(["--version"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["criteria", "--mass", "1e-120", "--width", "1"],
+    ["criteria", "--mass", "1e-120", "--density", "1000"],
+    ["sweep", "--param", "width", "--start", "1", "--stop", "2", "--num", "2",
+     "--mass", "1e-120"],
+    ["criteria", "--mass", "1e100", "--width", "1e300"],
+])
+def test_mu_out_of_range_is_numerical_failure(argv, capsys):
+    # mu = G m^3 a / hbar^2 underflows to 0 or overflows to inf
+    assert run(argv) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_computes_critical_length_once_per_mass_width(monkeypatch, capsys):
+    calls = []
+    real = gravphase.cli.critical_length
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gravphase.cli, "critical_length", counting)
+    argv = ["sweep", "--param", "separation", "--start", "1e-7", "--stop", "1e-5",
+            "--num", "5", "--mass", "1e-15", "--width", "1e-7"]
+    assert run(argv) == 0
+    recs = _json_records(capsys)
+    assert len(recs) == 5
+    assert len(calls) == 1
+    assert len({r["critical_length"] for r in recs}) == 1
+
+
+@pytest.mark.parametrize("sub, text", [
+    ("sweep", "fixed mass [kg]"),
+    ("sweep", "fixed separation [m]"),
+    ("simulate", "(default 8 max(R, C1(T)^0.5))"),
+    ("variance", "--tau-max TAU_MAX"),
+    ("covariance", "--grid-n GRID_N"),
+])
+def test_subcommand_help_text(sub, text, capsys):
+    assert run([sub, "--help"]) == 0
+    assert text in " ".join(capsys.readouterr().out.split())
+
+
+def test_config_param_outside_choices(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("param = bogus\nstart = 1e-7\nstop = 1e-6\nnum = 2\n"
+                   "mass = 1e-15\nwidth = 1e-7\n")
+    assert run(["sweep", "--config", str(cfg)]) == 2
+    assert "param" in capsys.readouterr().err
