@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from .units import CODATA2018, DimensionlessParams, PacketPair, PhysicalConstants, coupling
+from .units import (
+    CODATA2018, DimensionlessParams, PacketPair, PhysicalConstants, coupling, time_unit,
+)
 from .variance import phase_variance
 
 __all__ = [
@@ -122,7 +124,7 @@ def damping_time(
     """
     mu = coupling(p.m, p.a, constants)
     rho = p.R / p.a
-    t_unit = p.m * p.a**2 / constants.hbar  # seconds per unit tau
+    t_unit = time_unit(p.m, p.a, constants)
     tau_cap = t_cap / t_unit
     target = th.variance_threshold
     if rho == 0.0 or _total(mu, rho, tau_cap) < target:

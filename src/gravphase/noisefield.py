@@ -25,12 +25,28 @@ The 1/sqrt(dt) factor realizes the white-in-time normalization on a
 discrete time grid: fields at different steps are independent, and the
 covariance times dt reproduces the delta-correlation weight.
 
+P is real and even (P(k) = P(-k)), so only the half spectrum over the
+last axis is used: ``rfftn``/``irfftn`` with ``P[:, :, :n//2 + 1]``. The
+same symmetry makes the filter F = ifftn(fftn(.) sqrt(P)) self-adjoint,
+
+    <d, F w> = <F d, w>,
+
+which is what the ensemble simulator exploits: each member's phase is
+a sum over steps of <d_s, F w_s> with d_s the density difference of
+the two packets, so F d_s is filtered once per step, shared by every
+member, and a member-step is one Philox draw and one reduction. The
+same filtered grids give the lattice-exact ensemble variance
+mu dtau sum_s ||F d_s||^2 with no sampling at all. The covariance
+estimator likewise needs only |rfftn(w)|^2 P, reduced to its three axis
+marginals and weighted by cos(2 pi k lag / n), never the inverse FFT.
+
 Every random draw in the package, here and in the oracle, comes from
 ``stream``: a Philox generator keyed by (seed, domain tag) with counter
 (0, member, step, batch), so a draw depends only on what it is for, never
 on which worker makes it. ``parallel_map`` returns results in input
-order, so reductions run in a fixed order and results are bit-identical
-for any worker count.
+order, and every reduction is numpy's own pairwise sum rather than a
+BLAS dot, whose summation order follows the BLAS thread count, so
+results are bit-identical for any worker count on any machine.
 """
 
 from __future__ import annotations
@@ -45,7 +61,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .packets import GaussianPacket
-from .units import CODATA2018, PacketPair, PhysicalConstants, nondimensionalize
+from .units import CODATA2018, NATURAL, PacketPair, PhysicalConstants, nondimensionalize
 
 __all__ = [
     "FieldGrid",
@@ -68,6 +84,8 @@ _TAG_COV = 0xC0
 _TAG_SIM = 0x51
 
 _MIN_MEMBERS = 64
+
+_AXES = (0, 1, 2)
 
 
 class ConfigurationError(ValueError):
@@ -107,13 +125,18 @@ class EnsembleStats:
     """Ensemble estimate of the phase variance.
 
     The standard error of the variance comes from the fourth-moment
-    estimator var(s^2) = (m4 - (n-3)/(n-1) s^4) / n.
+    estimator var(s^2) = (m4 - (n-3)/(n-1) s^4) / n. ``lattice_variance``
+    is the variance the ensemble estimates, exact for this lattice and time
+    step, so ``variance - lattice_variance`` is pure sampling noise and
+    ``lattice_variance`` minus the continuum value is the discretization
+    bias.
     """
 
     n_members: int
     mean: float
     variance: float
     standard_error_of_variance: float
+    lattice_variance: float
 
 
 @dataclass(frozen=True)
@@ -169,6 +192,16 @@ def _unit_spectrum(n: int, dx: float) -> np.ndarray:
     return p
 
 
+def _half_spectrum(n: int, dx: float, constants: PhysicalConstants) -> np.ndarray:
+    """hbar G P over the rfftn half spectrum (kz = 0 .. n/2); a fresh array."""
+    return constants.hbar * constants.G * _unit_spectrum(n, dx)[:, :, : n // 2 + 1]
+
+
+def _filter(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """ifftn(fftn(x) amp).real for real x and a real, even amp given by its half."""
+    return np.fft.irfftn(np.fft.rfftn(x, axes=_AXES) * amp, s=x.shape, axes=_AXES)
+
+
 def sample_field_step(
     grid: FieldGrid,
     member: int,
@@ -185,13 +218,11 @@ def sample_field_step(
     raw two-point function, so the default keeps it and reproduces
     hbar G / r without a constant offset.
     """
-    p = constants.hbar * constants.G * _unit_spectrum(grid.n, grid.dx)
-    amp = np.sqrt(p)
+    amp = np.sqrt(_half_spectrum(grid.n, grid.dx, constants))
     if zero_mean:
-        amp = amp.copy()
         amp[0, 0, 0] = 0.0
     w = stream(grid.seed, _TAG_FIELD, member, step).standard_normal((grid.n,) * 3)
-    return np.fft.ifftn(np.fft.fftn(w) * amp).real / math.sqrt(grid.dt)
+    return _filter(w, amp) / math.sqrt(grid.dt)
 
 
 def measured_covariance(
@@ -207,6 +238,11 @@ def measured_covariance(
     sites (one circular autocorrelation per realization), with the
     standard error taken across realizations. Targets are hbar G / r at
     the snapped separations.
+
+    The autocorrelation at lag l along x is n^-6 sum_k S(k) cos(2 pi kx l / n)
+    with S = |fftn(w)|^2 P, so each realization needs only one rfftn and
+    the axis marginals of S over the half spectrum, where every kz other
+    than 0 and n/2 stands for itself and its mirror.
     """
     if n_realizations < 100:
         raise ValueError(f"need at least 100 realizations, got {n_realizations}")
@@ -218,16 +254,22 @@ def measured_covariance(
                 f"separation {r} outside [{dx}, {grid.box_length / 2.0}]"
             )
         lags.append(max(1, round(r / dx)))
-    p = constants.hbar * constants.G * _unit_spectrum(grid.n, dx)
     n = grid.n
+    p = _half_spectrum(n, dx, constants)
+    p[:, :, 1 : n // 2] *= 2.0  # mirror multiplicity
+    cos_x = np.cos(2.0 * math.pi * (np.outer(lags, np.arange(n)) % n) / n)
+    cos_z = cos_x[:, : n // 2 + 1]
+    norm = 3.0 * float(n) ** 6
     per_real = np.empty((n_realizations, len(lags)))
     for m in range(n_realizations):
         w = stream(grid.seed, _TAG_COV, m).standard_normal((n, n, n))
-        wh = np.fft.fftn(w)
-        # covariance*dt of the synthesized field, all lags at once
-        acov = np.fft.ifftn((wh.real**2 + wh.imag**2) * p).real / n**3
-        for j, lag in enumerate(lags):
-            per_real[m, j] = (acov[lag, 0, 0] + acov[0, lag, 0] + acov[0, 0, lag]) / 3.0
+        wh = np.fft.rfftn(w, axes=_AXES)
+        s = (wh.real**2 + wh.imag**2) * p
+        s_xy = s.sum(axis=2)
+        # x and y marginals share their cosine weights
+        m_xy = s_xy.sum(axis=1) + s_xy.sum(axis=0)
+        m_z = s.sum(axis=(0, 1))
+        per_real[m] = ((cos_x * m_xy).sum(axis=1) + (cos_z * m_z).sum(axis=1)) / norm
     rows = []
     for j, lag in enumerate(lags):
         r_snap = lag * dx
@@ -280,7 +322,7 @@ def smeared_potential(
         raise ConfigurationError(
             f"packet density mass on grid is {mass:.9f}; support clipped by the box"
         )
-    return packet.m * float(np.dot(dens.ravel(), field.ravel())) * cell
+    return packet.m * float((dens * field).sum()) * cell
 
 
 def simulate_phase_variance(
@@ -306,6 +348,38 @@ def simulate_phase_variance(
     """
     if n_members < _MIN_MEMBERS:
         raise ValueError(f"need at least {_MIN_MEMBERS} members, got {n_members}")
+    nw = workers if workers is not None else default_workers()
+    phases, lattice = _ensemble(p, grid, n_members, constants, nw)
+
+    mean = float(phases.mean())
+    var = float(phases.var(ddof=1))
+    m4 = float(np.mean((phases - mean) ** 4))
+    nm = n_members
+    se_var = math.sqrt(max(m4 - (nm - 3) / (nm - 1) * var * var, 0.0) / nm)
+    return EnsembleStats(
+        n_members=n_members,
+        mean=mean,
+        variance=var,
+        standard_error_of_variance=se_var,
+        lattice_variance=lattice,
+    )
+
+
+def _ensemble(
+    p: PacketPair,
+    grid: FieldGrid,
+    n_members: int,
+    constants: PhysicalConstants = CODATA2018,
+    workers: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """Member phases and the lattice-exact variance they sample.
+
+    Member ``mem``'s phase is -sqrt(mu dtau) sum_s <g_s, w_s> with
+    g_s = F d_s the filtered density difference of step s (the adjoint
+    form of <d_s, F w_s>) and w_s the n^3 normals of stream (mem, s);
+    since the w_s are iid standard normals the phases are Gaussian with
+    variance mu dtau sum_s ||g_s||^2.
+    """
     d = nondimensionalize(p, constants)
     horizon = grid.n_steps * grid.dt
     if abs(horizon - p.T) > 1e-9 * p.T:
@@ -327,35 +401,24 @@ def simulate_phase_variance(
     c_lo = (half - d.rho / 2.0, half, half)
     c_hi = (half + d.rho / 2.0, half, half)
 
-    # density differences per step, shared by all members
-    diffs = []
+    # filtered density differences per step, shared by all members
+    amp = np.sqrt(_half_spectrum(n, box / n, NATURAL))
+    gs = []
     for s in range(grid.n_steps):
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
         dd = (_density_grid(n, box, c_lo, c1) - _density_grid(n, box, c_hi, c1)) * cell
-        diffs.append(dd.ravel())
+        gs.append(_filter(dd, amp).ravel())
 
-    amp = np.sqrt(_unit_spectrum(n, box / n))
-    scale = math.sqrt(d.mu * dtau)
+    mu_dtau = d.mu * dtau
+    scale = math.sqrt(mu_dtau)
 
     def member_phase(mem: int) -> float:
         acc = 0.0
-        for s in range(grid.n_steps):
-            w = stream(grid.seed, _TAG_SIM, mem, s).standard_normal((n, n, n))
-            phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
-            acc += float(np.dot(diffs[s], phi.ravel()))
+        for s, g in enumerate(gs):
+            w = stream(grid.seed, _TAG_SIM, mem, s).standard_normal(g.size)
+            acc += float(np.multiply(g, w, out=w).sum())
         return -scale * acc
 
-    nw = workers if workers is not None else default_workers()
-    phases = np.array(parallel_map(member_phase, range(n_members), workers=nw))
-
-    mean = float(phases.mean())
-    var = float(phases.var(ddof=1))
-    m4 = float(np.mean((phases - mean) ** 4))
-    nm = n_members
-    se_var = math.sqrt(max(m4 - (nm - 3) / (nm - 1) * var * var, 0.0) / nm)
-    return EnsembleStats(
-        n_members=n_members,
-        mean=mean,
-        variance=var,
-        standard_error_of_variance=se_var,
-    )
+    phases = np.array(parallel_map(member_phase, range(n_members), workers=workers))
+    lattice = mu_dtau * math.fsum(float(np.square(g).sum()) for g in gs)
+    return phases, lattice

@@ -9,9 +9,11 @@ and the key error-function integral identity by direct quadrature.
 
 Reproducibility contract: every estimator draws from counter-based Philox
 streams keyed by (seed, domain tag) with the batch index in the counter
-block, and partial results are reduced in fixed batch order. The same
-(seed, n) therefore gives bit-identical estimates regardless of how many
-workers execute the batches.
+block; each batch is summed by numpy's pairwise sum, never a BLAS dot
+(whose order follows the BLAS thread count), and partial results are
+reduced in fixed batch order. The same (seed, n) therefore gives
+bit-identical estimates regardless of how many workers execute the
+batches or how many threads BLAS runs.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _inv_distance_batch(
             break
         r[bad] = radii(bad.size)
     v = 1.0 / r
-    return float(v.sum()), float(np.dot(v, v)), count
+    return float(v.sum()), float((v * v).sum()), count
 
 
 def i4_closed_form(c1: float) -> float:

@@ -25,6 +25,7 @@ __all__ = [
     "make_params",
     "coupling",
     "scaled_time",
+    "time_unit",
     "nondimensionalize",
     "redimensionalize",
     "spreading_width",
@@ -115,11 +116,25 @@ def coupling(m: float, a: float, constants: PhysicalConstants = CODATA2018) -> f
     return mu
 
 
+def _mass_area(m: float, a: float) -> float:
+    """m a^2; OverflowError if it leaves (0, inf)."""
+    ma2 = m * a**2
+    if ma2 == 0.0 or not math.isfinite(ma2):
+        raise OverflowError(f"m a^2 is {ma2} for m = {m}, a = {a}")
+    return ma2
+
+
 def scaled_time(
     m: float, a: float, t: float, constants: PhysicalConstants = CODATA2018
 ) -> float:
-    """Time in spreading units, tau = hbar t / (m a^2)."""
-    return constants.hbar * t / (m * a**2)
+    """Time in spreading units, tau = hbar t / (m a^2); OverflowError if
+    m a^2 leaves (0, inf)."""
+    return constants.hbar * t / _mass_area(m, a)
+
+
+def time_unit(m: float, a: float, constants: PhysicalConstants = CODATA2018) -> float:
+    """Seconds per unit tau, m a^2 / hbar; OverflowError if m a^2 leaves (0, inf)."""
+    return _mass_area(m, a) / constants.hbar
 
 
 def nondimensionalize(

@@ -20,6 +20,7 @@ from gravphase.criteria import (
 )
 from gravphase.noisefield import (
     FieldGrid,
+    _ensemble,
     default_workers,
     measured_covariance,
     simulate_phase_variance,
@@ -224,6 +225,42 @@ def test_c12_stochastic_reproduction_of_variance():
         results.append(f"tau={tau_max}: {ens.variance:.4f} vs {target:.4f}")
     assert _report(
         12, "ensemble variance vs analytic", ok, "; ".join(results)
+    )
+
+
+def _c12_case(tau_max, steps, n=64):
+    a = 1e-6
+    m = _mass_for_mu(1.0, a)
+    T = tau_max * m * a**2 / HBAR
+    p = make_params(m, a, a, T)
+    box = 8.0 * a * max(1.0, math.hypot(1.0, tau_max))
+    return p, FieldGrid(n=n, box_length=box, dt=T / steps, n_steps=steps, seed=SEED)
+
+
+@pytest.mark.parametrize("tau_max, steps", [(0.1, 8), (3.0, 30)])
+def test_c12_lattice_bias(tau_max, steps):
+    # criterion 12's deterministic part: the variance the ensemble samples,
+    # exact on its lattice and time grid, against the continuum value
+    p, grid = _c12_case(tau_max, steps)
+    lattice = _ensemble(p, grid, 0)[1]
+    bias = lattice / phase_variance(nondimensionalize(p)).total - 1.0
+    assert _report(
+        12, "lattice-exact variance vs analytic", abs(bias) <= 0.015,
+        f"tau={tau_max}: discretization bias {bias:+.3%}",
+    )
+
+
+@pytest.mark.parametrize("tau_max, steps", [(0.1, 8), (3.0, 30)])
+def test_c12_ensemble_noise_against_lattice(tau_max, steps):
+    # criterion 12's sampling part: the phases are exactly Gaussian with
+    # the lattice variance s2, so the sample variance has SE s2 sqrt(2/(n-1))
+    p, grid = _c12_case(tau_max, steps, n=32)
+    ens = simulate_phase_variance(p, grid, 128, workers=default_workers())
+    se = ens.lattice_variance * math.sqrt(2.0 / (ens.n_members - 1))
+    z = (ens.variance - ens.lattice_variance) / se
+    assert _report(
+        12, "ensemble variance vs lattice-exact variance", abs(z) <= 4.0,
+        f"tau={tau_max}: z = {z:+.2f}",
     )
 
 

@@ -247,6 +247,14 @@ def test_mu_out_of_range_is_numerical_failure(argv, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_tau_unit_underflow_is_numerical_failure(capsys):
+    # m a^2 underflows to 0 while mu = G m^3 a / hbar^2 (6e-183) is in range
+    argv = ["variance", "--mass", "1e-30", "--width", "1e-150",
+            "--separation", "1e-150", "--horizon", "1"]
+    assert run(argv) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_sweep_computes_critical_length_once_per_mass_width(monkeypatch, capsys):
     calls = []
     real = gravphase.cli.critical_length

@@ -66,6 +66,12 @@ def test_damping_time_zero_separation_sentinel():
     assert damping_time(p, t_cap=1e6) == 1e6
 
 
+def test_damping_time_tau_unit_underflow_raises():
+    # m a^2 underflows to 0 while mu (6e-183) is still in range
+    with pytest.raises(OverflowError, match="m a"):
+        damping_time(make_params(1e-30, 1e-150, 1e-150, 1.0))
+
+
 def test_damping_time_saturation_sentinel():
     # micro regime: the variance saturates below the threshold, so the
     # cap comes back instead of a root

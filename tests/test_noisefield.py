@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravphase
 from gravphase.noisefield import (
     CUBE_SELF_CONSTANT,
     ConfigurationError,
@@ -12,7 +17,9 @@ from gravphase.noisefield import (
     sample_field_step,
     simulate_phase_variance,
     smeared_potential,
+    stream,
 )
+from gravphase.noisefield import _TAG_SIM, _density_grid, _ensemble, _unit_spectrum
 from gravphase.packets import GaussianPacket
 from gravphase.units import CODATA2018, NATURAL, make_params, nondimensionalize
 from gravphase.variance import phase_variance
@@ -196,3 +203,67 @@ def test_simulate_preconditions():
     )
     with pytest.raises(ConfigurationError, match="box_length"):
         simulate_phase_variance(pair, small_box, 64)
+
+
+def test_member_phase_matches_unfiltered_dot():
+    # adjoint identity <d, F w> = <F d, w>: filtering each step's density
+    # difference once gives the phase of filtering every member's noise
+    pair = _pair(1.0, 1.0, 0.5)
+    grid = _grid_for(pair, n=32, steps=2, seed=3)
+    phases, _ = _ensemble(pair, grid, 1)
+    d = nondimensionalize(pair)
+    n, box = grid.n, grid.box_length / pair.a
+    dtau = d.tau_max / grid.n_steps
+    half = box / 2.0
+    amp = np.sqrt(_unit_spectrum(n, box / n))
+    acc = 0.0
+    for s in range(grid.n_steps):
+        c1 = 1.0 + ((s + 0.5) * dtau) ** 2
+        lo = _density_grid(n, box, (half - d.rho / 2.0, half, half), c1)
+        hi = _density_grid(n, box, (half + d.rho / 2.0, half, half), c1)
+        w = stream(grid.seed, _TAG_SIM, 0, s).standard_normal((n, n, n))
+        phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
+        acc += float(np.dot(((lo - hi) * (box / n) ** 3).ravel(), phi.ravel()))
+    old = -math.sqrt(d.mu * dtau) * acc
+    assert abs(phases[0] - old) <= 1e-12 * abs(old)
+
+
+def test_lattice_variance_is_the_ensemble_expectation():
+    pair = _pair(1.0, 1.0, 0.1)
+    grid = _grid_for(pair, seed=11)
+    ens = simulate_phase_variance(pair, grid, 64)
+    assert ens.lattice_variance == _ensemble(pair, grid, 0)[1]
+    # same grid, so the continuum value differs only by discretization bias
+    target = phase_variance(nondimensionalize(pair)).total
+    assert abs(ens.lattice_variance / target - 1.0) < 0.05
+
+
+_BLAS_SCRIPT = """
+import math
+from gravphase.noisefield import FieldGrid, simulate_phase_variance
+from gravphase.oracle import mc_i4_spatial
+from gravphase.units import make_params, spreading_width
+p = make_params(5.5028e-18, 1e-6, 1e-6, 2.609e4)
+box = 8.0 * max(p.R, math.sqrt(spreading_width(p, p.T)))
+grid = FieldGrid(n=32, box_length=box, dt=p.T / 8, n_steps=8, seed=42)
+print(simulate_phase_variance(p, grid, 64, workers=1))
+print(mc_i4_spatial(1.0, 10**6, 42, workers=1))
+"""
+
+
+def test_results_independent_of_blas_threads():
+    # a BLAS dot sums in an order set by its thread count; every
+    # reduction here must give the same bits for 1 and 2 BLAS threads
+    src = str(Path(gravphase.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        res = subprocess.run(
+            [sys.executable, "-c", _BLAS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
+    assert "EnsembleStats" in outs[0] and "McEstimate" in outs[0]

@@ -12,7 +12,9 @@ from gravphase.units import (
     make_params,
     nondimensionalize,
     redimensionalize,
+    scaled_time,
     spreading_width,
+    time_unit,
 )
 
 
@@ -89,6 +91,18 @@ def test_underflow_raises():
     p = make_params(1e250, 1e30, 0.0, 1e-300)
     with pytest.raises(OverflowError):
         nondimensionalize(p)
+
+
+def test_tau_unit_underflow_raises():
+    # m a^2 underflows to 0 although mu (6e-183) is still in range
+    p = make_params(1e-30, 1e-150, 1e-150, 1.0)
+    with pytest.raises(OverflowError, match="m a"):
+        scaled_time(p.m, p.a, p.T)
+    with pytest.raises(OverflowError, match="m a"):
+        time_unit(p.m, p.a)
+    with pytest.raises(OverflowError):
+        nondimensionalize(p)
+    assert time_unit(2.0, 3.0, NATURAL) == 18.0
 
 
 @settings(max_examples=60, deadline=None)
