@@ -13,6 +13,7 @@ from gravphase import (
     DimensionlessParams,
     FieldGrid,
     PacketPair,
+    min_box_length,
     phase_variance,
     simulate_phase_variance,
 )
@@ -25,7 +26,7 @@ def main() -> None:
           f" {'analytic':>12} {'pull':>6}")
     for tau, steps in ((0.5, 8), (2.0, 16)):
         pair = PacketPair(m=1.0, a=1.0, R=1.0, T=tau)
-        box = 8.0 * max(1.0, (1.0 + tau * tau) ** 0.5)
+        box = min_box_length(pair, NATURAL)
         grid = FieldGrid(n=32, box_length=box, dt=tau / steps,
                          n_steps=steps, seed=77)
         t0 = time.perf_counter()

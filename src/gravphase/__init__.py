@@ -33,6 +33,7 @@ from .noisefield import (
     EnsembleStats,
     FieldGrid,
     measured_covariance,
+    min_box_length,
     sample_field_step,
     simulate_phase_variance,
     smeared_potential,
@@ -85,4 +86,5 @@ __all__ = [
     # noisefield
     "FieldGrid", "EnsembleStats", "ConfigurationError", "sample_field_step",
     "measured_covariance", "smeared_potential", "simulate_phase_variance",
+    "min_box_length",
 ]

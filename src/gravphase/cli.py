@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 verification subcommand found a failing check,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -45,12 +46,11 @@ from .criteria import (
 )
 from .noisefield import (
     FieldGrid,
-    default_workers,
     measured_covariance,
+    min_box_length,
     simulate_phase_variance,
 )
 from .oracle import (
-    McEstimate,
     erf_identity_check,
     i4_closed_form,
     i6_closed_form,
@@ -59,7 +59,7 @@ from .oracle import (
     sn_cancellation_check,
 )
 from .units import (
-    DimensionlessParams, coupling, make_params, nondimensionalize, spreading_width,
+    DimensionlessParams, coupling, make_params, nondimensionalize,
 )
 from .variance import QuadratureError, phase_variance
 
@@ -109,24 +109,6 @@ _FLAGS: dict[str, tuple[object, str]] = {
 }
 _COMMON_KEYS = {"format": str, "output": str}
 
-# subcommand -> (--help text, its flags in --help order)
-_COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "variance": ("phase-variance breakdown",
-                 ("mass", "width", "separation", "horizon", "mu", "rho", "tau_max")),
-    "criteria": ("decoherence time, critical length and mass, regime",
-                 ("mass", "width", "separation", "density", "threshold")),
-    "sweep": ("geometric sweep of mass, width, or separation",
-              ("param", "start", "stop", "num", "mass", "width", "separation",
-               "threshold")),
-    "oracle": ("run the Monte Carlo / quadrature verification suite",
-               ("samples", "seed", "workers")),
-    "covariance": ("measure the sampled noise-field covariance",
-                   ("grid_n", "box", "dt", "realizations", "separations", "seed")),
-    "simulate": ("ensemble phase variance vs the analytic value",
-                 ("mass", "width", "separation", "horizon", "grid_n", "box",
-                  "steps", "members", "seed", "workers")),
-}
-
 # --help text that differs from the shared one in one subcommand
 _HELP_OVERRIDES = {
     ("sweep", "mass"): "fixed mass [kg]",
@@ -138,17 +120,6 @@ _HELP_OVERRIDES = {
 # physics-symbol aliases accepted in config files
 _ALIASES = {"m": "mass", "a": "width", "R": "separation", "T": "horizon"}
 
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "variance": {},
-    "criteria": {"threshold": math.pi**2},
-    "sweep": {"threshold": math.pi**2},
-    "oracle": {"samples": 10**6, "seed": 42},
-    "covariance": {
-        "grid_n": 64, "box": 1.0, "dt": 1.0, "realizations": 400, "seed": 42,
-    },
-    "simulate": {"grid_n": 64, "steps": 16, "members": 256, "seed": 42},
-}
-
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
@@ -158,7 +129,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, keys) in _COMMANDS.items():
+    for name, (help_text, _, keys) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="config file (key = value lines, or JSON)")
         sp.add_argument("--format", choices=["csv", "json"], help="output format")
@@ -185,8 +156,11 @@ def _coerce(key: str, value, target) -> object:
                 raise ValueError
             return str(value)
         if target is int:
+            if isinstance(value, (int, str)):  # exact beyond 2**53
+                with contextlib.suppress(ValueError):
+                    return int(value)
             f = float(value)
-            if f != int(f):
+            if not f.is_integer():
                 raise ValueError
             return int(f)
         return float(value)
@@ -194,7 +168,7 @@ def _coerce(key: str, value, target) -> object:
         raise _UsageError(f"invalid value for config key '{key}': {value!r}") from None
 
 
-def _read_config_file(path: str, keys: tuple[str, ...]) -> dict:
+def _read_config_file(path: str, keys: dict) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -231,11 +205,11 @@ def _read_config_file(path: str, keys: tuple[str, ...]) -> dict:
 
 def parse_config(ns: argparse.Namespace) -> RunConfig:
     """Merge config-file values (if any) under explicit CLI flags."""
-    keys = _COMMANDS[ns.subcommand][1]
-    merged = dict(_DEFAULTS[ns.subcommand])
+    flags = _COMMANDS[ns.subcommand][2]
+    merged = {k: v for k, v in flags.items() if v is not None}
     if getattr(ns, "config", None):
-        merged.update(_read_config_file(ns.config, keys))
-    for key in keys:
+        merged.update(_read_config_file(ns.config, flags))
+    for key in flags:
         value = getattr(ns, key, None)
         if value is not None:
             merged[key] = _coerce(key, value, _FLAGS[key][0])
@@ -300,10 +274,7 @@ def _cmd_criteria(params: dict) -> tuple[list[dict], bool]:
     }
     record["threshold"] = th.variance_threshold
     if mass is not None and width is not None:
-        clr = critical_length(mass, width, th=th)
-        record["critical_length"] = clr.l_c
-        record["critical_length_method"] = clr.method.value
-        record["critical_length_asymptote"] = clr.asymptote
+        record.update(_length_fields(critical_length(mass, width, th=th)))
         if separation is not None:
             pair = make_params(mass, width, separation, 1.0)
             record["damping_time"] = damping_time(pair, th)
@@ -317,6 +288,14 @@ def _cmd_criteria(params: dict) -> tuple[list[dict], bool]:
         if mass is not None:
             record["regime"] = classify(mass, density, a=width).value
     return [record], False
+
+
+def _length_fields(clr) -> dict:
+    return {
+        "critical_length": clr.l_c,
+        "critical_length_method": clr.method.value,
+        "critical_length_asymptote": clr.asymptote,
+    }
 
 
 def _cmd_sweep(params: dict) -> tuple[list[dict], bool]:
@@ -337,14 +316,10 @@ def _cmd_sweep(params: dict) -> tuple[list[dict], bool]:
         mass, width, separation = point["mass"], point["width"], point["separation"]
         if mass is None or width is None:
             raise _UsageError("sweep requires mass and width (swept or fixed)")
-        row: dict = {"mass": mass, "width": width}
         if (mass, width) not in lengths:
             lengths[mass, width] = critical_length(mass, width, th=th)
-        clr = lengths[mass, width]
-        row["mu"] = coupling(mass, width)
-        row["critical_length"] = clr.l_c
-        row["critical_length_method"] = clr.method.value
-        row["critical_length_asymptote"] = clr.asymptote
+        row: dict = {"mass": mass, "width": width, "mu": coupling(mass, width),
+                     **_length_fields(lengths[mass, width])}
         if separation is not None:
             row["separation"] = separation
             pair = make_params(mass, width, separation, 1.0)
@@ -363,42 +338,31 @@ def _oracle_row(check: str, **kw) -> dict:
     return row
 
 
-def _mc_row(check: str, est: McEstimate, target: float, **kw) -> dict:
+def _mc_row(check: str, value: float, se: float, target: float, **kw) -> dict:
     # pass bound: 3 SE or 1% of the target, whichever is looser, so small
     # sample counts stay statistically meaningful
-    resid = abs(est.value - target)
-    tol = max(3.0 * est.standard_error, 0.01 * abs(target))
+    resid = abs(value - target)
+    tol = max(3.0 * se, 0.01 * abs(target))
     return _oracle_row(
-        check, value=est.value, target=target, residual=resid,
-        standard_error=est.standard_error, tolerance=tol,
-        passed=bool(resid < tol), **kw,
+        check, value=value, target=target, residual=resid,
+        standard_error=se, tolerance=tol, passed=bool(resid < tol), **kw,
     )
 
 
 def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
-    n, seed = params["samples"], params["seed"]
-    workers = params.get("workers") or default_workers()
-    records = []
-
+    n, seed, workers = params["samples"], params["seed"], params.get("workers")
+    # the deterministic terms cancel exactly: target 0, so the bound is 3 SE
     rep = sn_cancellation_check(1.0, 1.0, n, seed, workers=workers)
-    tol = 3.0 * rep.combined_se
-    records.append(
-        _oracle_row(
-            "cancellation", c1=1.0, separation=1.0, value=rep.sum_value,
-            target=0.0, residual=abs(rep.sum_value),
-            standard_error=rep.combined_se, tolerance=tol,
-            passed=abs(rep.sum_value) < tol,
-        )
-    )
+    records = [_mc_row("cancellation", rep.sum_value, rep.combined_se, 0.0,
+                       c1=1.0, separation=1.0)]
     for c1 in (0.25, 1.0, 4.0):
         est = mc_i4_spatial(c1, n, seed, workers=workers)
-        records.append(_mc_row("i4_closed_form", est, i4_closed_form(c1), c1=c1))
+        records.append(_mc_row("i4_closed_form", est.value, est.standard_error,
+                               i4_closed_form(c1), c1=c1))
     for ratio in (0.5, 1.0, 3.0):
         est = mc_i6_spatial(1.0, ratio, n, seed, workers=workers)
-        records.append(
-            _mc_row("i6_closed_form", est, i6_closed_form(1.0, ratio),
-                    c1=1.0, separation=ratio)
-        )
+        records.append(_mc_row("i6_closed_form", est.value, est.standard_error,
+                               i6_closed_form(1.0, ratio), c1=1.0, separation=ratio))
     for ratio in (0.1, 1.0, 5.0):
         resid = erf_identity_check(ratio, 1.0)
         records.append(
@@ -442,14 +406,14 @@ def _cmd_simulate(params: dict) -> tuple[list[dict], bool]:
     pair = make_params(m, a, R, T)
     box = params.get("box")
     if box is None:
-        box = 8.0 * max(pair.R, math.sqrt(spreading_width(pair, pair.T)))
+        box = min_box_length(pair)
     steps = params["steps"]
     grid = FieldGrid(
         n=params["grid_n"], box_length=box, dt=pair.T / steps,
         n_steps=steps, seed=params["seed"],
     )
-    workers = params.get("workers") or default_workers()
-    ens = simulate_phase_variance(pair, grid, params["members"], workers=workers)
+    ens = simulate_phase_variance(pair, grid, params["members"],
+                                  workers=params.get("workers"))
     d = nondimensionalize(pair)
     analytic = phase_variance(d).total
     err = abs(ens.variance - analytic)
@@ -467,16 +431,27 @@ def _cmd_simulate(params: dict) -> tuple[list[dict], bool]:
     return [record], not record["passed"]
 
 
-_DISPATCH = {
-    "variance": _cmd_variance,
-    "criteria": _cmd_criteria,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "covariance": _cmd_covariance,
-    "simulate": _cmd_simulate,
+# subcommand -> (--help text, handler, {flag: default or None} in --help
+# order); the flags are the only keys a config file may set
+_COMMANDS: dict[str, tuple[str, object, dict[str, object]]] = {
+    "variance": ("phase-variance breakdown", _cmd_variance, dict.fromkeys(
+        ("mass", "width", "separation", "horizon", "mu", "rho", "tau_max"))),
+    "criteria": ("decoherence time, critical length and mass, regime", _cmd_criteria,
+                 {**dict.fromkeys(("mass", "width", "separation", "density")),
+                  "threshold": math.pi**2}),
+    "sweep": ("geometric sweep of mass, width, or separation", _cmd_sweep,
+              {**dict.fromkeys(("param", "start", "stop", "num", "mass", "width",
+                                "separation")), "threshold": math.pi**2}),
+    "oracle": ("run the Monte Carlo / quadrature verification suite", _cmd_oracle,
+               {"samples": 10**6, "seed": 42, "workers": None}),
+    "covariance": ("measure the sampled noise-field covariance", _cmd_covariance,
+                   {"grid_n": 64, "box": 1.0, "dt": 1.0, "realizations": 400,
+                    "separations": None, "seed": 42}),
+    "simulate": ("ensemble phase variance vs the analytic value", _cmd_simulate,
+                 {**dict.fromkeys(("mass", "width", "separation", "horizon")),
+                  "grid_n": 64, "box": None, "steps": 16, "members": 256,
+                  "seed": 42, "workers": None}),
 }
-
-_STOCHASTIC = {"oracle", "covariance", "simulate"}
 
 
 def _fmt_float(v: float) -> str:
@@ -548,14 +523,14 @@ def run(argv: list[str]) -> int:
         return int(e.code or 0)
     try:
         cfg = parse_config(ns)
-        records, failed = _DISPATCH[cfg.subcommand](cfg.params)
+        records, failed = _COMMANDS[cfg.subcommand][1](cfg.params)
     except ValueError as e:  # includes _UsageError and ConfigurationError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (QuadratureError, BracketError, FloatingPointError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    seed = cfg.params.get("seed") if cfg.subcommand in _STOCHASTIC else None
+    seed = cfg.params.get("seed")  # only the stochastic subcommands have one
     stamp = datetime.now(timezone.utc).isoformat()
     for rec in records:
         rec["version"] = __version__

@@ -61,7 +61,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .packets import GaussianPacket
-from .units import CODATA2018, NATURAL, PacketPair, PhysicalConstants, nondimensionalize
+from .units import (
+    CODATA2018, NATURAL, PacketPair, PhysicalConstants, nondimensionalize, spreading_width,
+)
 
 __all__ = [
     "FieldGrid",
@@ -73,6 +75,7 @@ __all__ = [
     "measured_covariance",
     "smeared_potential",
     "simulate_phase_variance",
+    "min_box_length",
     "default_workers",
 ]
 
@@ -159,8 +162,11 @@ def default_workers() -> int:
 
 
 def parallel_map(fn, *iterables, workers: int | None = None) -> list:
-    """``list(map(fn, *iterables))``, run on up to ``workers`` threads."""
-    if workers is None or workers <= 1:
+    """``list(map(fn, *iterables))``, run on up to ``workers`` threads
+    (``default_workers()`` if None)."""
+    if workers is None:
+        workers = default_workers()
+    if workers <= 1:
         return list(map(fn, *iterables))
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, *iterables))
@@ -169,7 +175,10 @@ def parallel_map(fn, *iterables, workers: int | None = None) -> list:
 def stream(
     seed: int, tag: int, member: int = 0, step: int = 0, batch: int = 0
 ) -> Generator:
-    """Generator for one (seed, tag) stream at counter (0, member, step, batch)."""
+    """Generator for one (seed, tag) stream at counter (0, member, step, batch);
+    ValueError unless 0 <= seed < 2**64, the range of a Philox key word."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     key = np.array([seed, tag], dtype=np.uint64)
     counter = np.array([0, member, step, batch], dtype=np.uint64)
     return Generator(Philox(key=key, counter=counter))
@@ -232,6 +241,9 @@ def measured_covariance(
     constants: PhysicalConstants = CODATA2018,
 ) -> list[CovarianceRow]:
     """Ensemble two-point function along the axes, already multiplied by dt.
+
+    The field's 1/dt variance and the factor dt cancel, so the estimate
+    comes from the dt-free spectrum and ``grid.dt`` does not change it.
 
     Each requested separation is snapped to the nearest axis lag; the
     estimate at each lag averages the three axis directions and all grid
@@ -325,6 +337,11 @@ def smeared_potential(
     return packet.m * float((dens * field).sum()) * cell
 
 
+def min_box_length(p: PacketPair, constants: PhysicalConstants = CODATA2018) -> float:
+    """Smallest box the ensemble simulator accepts, 8 max(R, sqrt(C1(T))) [m]."""
+    return 8.0 * max(p.R, math.sqrt(spreading_width(p, p.T, constants)))
+
+
 def simulate_phase_variance(
     p: PacketPair,
     grid: FieldGrid,
@@ -348,8 +365,7 @@ def simulate_phase_variance(
     """
     if n_members < _MIN_MEMBERS:
         raise ValueError(f"need at least {_MIN_MEMBERS} members, got {n_members}")
-    nw = workers if workers is not None else default_workers()
-    phases, lattice = _ensemble(p, grid, n_members, constants, nw)
+    phases, lattice = _ensemble(p, grid, n_members, constants, workers)
 
     mean = float(phases.mean())
     var = float(phases.var(ddof=1))
@@ -386,8 +402,7 @@ def _ensemble(
         raise ConfigurationError(
             f"n_steps*dt = {horizon} does not match the horizon T = {p.T}"
         )
-    c1_final = p.a * math.hypot(1.0, d.tau_max)
-    required = 8.0 * max(p.R, c1_final)
+    required = min_box_length(p, constants)
     if grid.box_length < required * (1.0 - 1e-12):
         raise ConfigurationError(
             f"box_length {grid.box_length} below 8*max(R, sqrt(C1(T))) = {required}"

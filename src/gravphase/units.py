@@ -164,7 +164,7 @@ def redimensionalize(
         raise ValueError(f"mass m must be positive and finite, got {m}")
     a = d.mu * constants.hbar**2 / (constants.G * m**3)
     R = d.rho * a
-    T = d.tau_max * m * a**2 / constants.hbar
+    T = d.tau_max * time_unit(m, a, constants)
     return make_params(m, a, R, T)
 
 

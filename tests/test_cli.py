@@ -291,3 +291,34 @@ def test_config_param_outside_choices(tmp_path, capsys):
                    "mass = 1e-15\nwidth = 1e-7\n")
     assert run(["sweep", "--config", str(cfg)]) == 2
     assert "param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "flat", "json"])
+def test_integer_inputs_are_exact(source, tmp_path, capsys):
+    # 2**53 + 1 has no double; it must reach the RNG and the echo unrounded
+    seed = 2**53 + 1
+    argv = ["oracle"]
+    if source == "flag":
+        argv += ["--samples", "10000", "--seed", str(seed)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.dumps({"samples": 1e4, "seed": seed}) if source == "json"
+                       else f"samples = 1e4\nseed = {seed}\n")
+        argv += ["--config", str(cfg)]
+    run(argv)
+    exact = capsys.readouterr().out
+    assert all(r["seed"] == seed for r in json.loads(exact))
+    run(["oracle", "--samples", "10000", "--seed", str(seed - 1)])
+    assert capsys.readouterr().out.split('"seed"')[0] != exact.split('"seed"')[0]
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["oracle", "--samples", "10000"], "-1"),
+    (["oracle", "--samples", "10000"], str(2**64)),
+    (["covariance", "--grid-n", "32", "--realizations", "100"], "-2"),
+    (["simulate", "--mass", "5.5028e-18", "--width", "1e-6", "--separation", "1e-6",
+      "--horizon", "2.609e4", "--grid-n", "32", "--steps", "1", "--members", "64"], "-3"),
+])
+def test_seed_out_of_range_is_usage_error(argv, seed, capsys):
+    assert run(argv + ["--seed", seed]) == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err

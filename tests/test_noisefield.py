@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from gravphase.noisefield import (
     EnsembleStats,
     FieldGrid,
     measured_covariance,
+    min_box_length,
+    parallel_map,
     sample_field_step,
     simulate_phase_variance,
     smeared_potential,
@@ -267,3 +270,26 @@ def test_results_independent_of_blas_threads():
         outs.append(res.stdout)
     assert outs[0] == outs[1]
     assert "EnsembleStats" in outs[0] and "McEstimate" in outs[0]
+
+
+def test_parallel_map_defaults_to_gravphase_threads(monkeypatch):
+    # with workers unset, GRAVPHASE_THREADS=2 must run both tasks at once:
+    # run one after the other, the first one's wait times out
+    monkeypatch.setenv("GRAVPHASE_THREADS", "2")
+    barrier = threading.Barrier(2, timeout=10.0)
+
+    def task(i):
+        barrier.wait()
+        return 10 * i
+
+    assert parallel_map(task, range(2)) == [0, 10]
+
+
+def test_min_box_length_is_the_simulate_default_box():
+    # README simulate geometry; the box the CLI has always echoed for it
+    p = make_params(5.5028e-18, 1e-6, 1e-6, 2.609e4)
+    box = min_box_length(p)
+    assert box == 8.9442575234267922e-06
+    grid = FieldGrid(n=32, box_length=box, dt=p.T, n_steps=1, seed=42)
+    ens = simulate_phase_variance(p, grid, 64)
+    assert ens.n_members == 64 and ens.variance > 0.0
