@@ -60,7 +60,7 @@ from .units import (
     redimensionalize,
     spreading_width,
 )
-from .variance import QuadratureError, VarianceBreakdown, i7, i8, phase_variance
+from .variance import VarianceBreakdown, i7, i8, phase_variance
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,7 @@ __all__ = [
     # packets
     "GaussianPacket", "density", "self_potential_at_center",
     # variance
-    "VarianceBreakdown", "QuadratureError", "phase_variance", "i7", "i8",
+    "VarianceBreakdown", "phase_variance", "i7", "i8",
     # criteria
     "Threshold", "Regime", "Method", "CriticalLengthResult",
     "DecoherenceResult", "BracketError", "damping_time",

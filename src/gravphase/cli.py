@@ -61,7 +61,7 @@ from .oracle import (
 from .units import (
     DimensionlessParams, coupling, make_params, nondimensionalize,
 )
-from .variance import QuadratureError, phase_variance
+from .variance import phase_variance
 
 __all__ = ["RunConfig", "run", "parse_config", "emit", "console_entry"]
 
@@ -138,11 +138,20 @@ def _parser() -> argparse.ArgumentParser:
             target, flag_help = _FLAGS[key]
             sp.add_argument(
                 "--" + key.replace("_", "-"),
-                type=target if target in (int, float) else None,
+                type=_FLAG_TYPES.get(target),
                 choices=target if isinstance(target, tuple) else None,
                 help=_HELP_OVERRIDES.get((name, key), flag_help),
             )
     return p
+
+
+def _int_flag(text: str) -> int:
+    # the config-file rule: "1e4" is 10000, "1.5" is rejected
+    return _coerce("", text, int)
+
+
+_int_flag.__name__ = "int"  # argparse names it in "invalid int value: ..."
+_FLAG_TYPES = {int: _int_flag, float: float}
 
 
 def _coerce(key: str, value, target) -> object:
@@ -527,7 +536,7 @@ def run(argv: list[str]) -> int:
     except ValueError as e:  # includes _UsageError and ConfigurationError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (QuadratureError, BracketError, FloatingPointError, OverflowError) as e:
+    except (BracketError, FloatingPointError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     seed = cfg.params.get("seed")  # only the stochastic subcommands have one

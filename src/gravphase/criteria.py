@@ -20,9 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-from scipy.special import erf
-
 from .units import (
     CODATA2018, DimensionlessParams, PacketPair, PhysicalConstants, coupling, time_unit,
 )
@@ -100,6 +97,56 @@ class BracketError(RuntimeError):
         self.scanned = (lo, hi)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 1e-10,
+            maxiter: int = 100) -> float:
+    """Root of f between xa and xb, where f changes sign (Brent 1973).
+
+    The steps and the stopping rule (half the bracket below
+    (xtol + rtol |x|) / 2) are those of scipy.optimize.brentq, so for the
+    same f and tolerances this returns the same root after the same calls.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"root not converged after {maxiter} iterations")
+
+
 def _total(mu: float, rho: float, tau: float) -> float:
     # bracket scans start at tau = 0 or rho = 0, where the variance is 0
     if rho == 0.0 or tau == 0.0:
@@ -135,7 +182,7 @@ def damping_time(
     while f(hi) < 0.0:
         lo = hi
         hi = min(hi * 8.0, tau_cap)
-    tau_root = brentq(f, lo, hi, rtol=1e-10)
+    tau_root = _brentq(f, lo, hi)
     return tau_root * t_unit
 
 
@@ -185,7 +232,7 @@ def _short_time_bracket(rho: float) -> float:
             out -= term / (2 * k + 1)
             if abs(term) < 1e-18 * math.sqrt(2.0 / math.pi):
                 return out
-    return math.sqrt(2.0 / math.pi) - erf(rho / math.sqrt(2.0)) / rho
+    return math.sqrt(2.0 / math.pi) - math.erf(rho / math.sqrt(2.0)) / rho
 
 
 def critical_length(
@@ -219,7 +266,7 @@ def critical_length(
         hi *= 8.0
         if hi > 1e100:
             raise BracketError("critical length root not bracketable", lo, hi)
-    rho_c = brentq(g, lo, hi, rtol=1e-10)
+    rho_c = _brentq(g, lo, hi)
 
     l_chr = constants.hbar**2 / (constants.G * m**3)
     if mu >= 1.0:

@@ -184,26 +184,44 @@ def stream(
     return Generator(Philox(key=key, counter=counter))
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_spectrum(n: int, dx: float) -> np.ndarray:
-    """DFT of the min-image 1/r kernel row for unit coupling; always >= 0."""
+def _kernel_row(n: int, dx: float) -> np.ndarray:
+    """The min-image 1/r kernel row for unit coupling, K(0) from the cell average."""
     o = (np.arange(n) + n // 2) % n - n // 2
     ox, oy, oz = np.meshgrid(o, o, o, indexing="ij", sparse=True)
     r = np.sqrt((ox * ox + oy * oy + oz * oz).astype(float)) * dx
     r[0, 0, 0] = 1.0
     k_row = 1.0 / r
     k_row[0, 0, 0] = CUBE_SELF_CONSTANT / dx
-    p = np.fft.fftn(k_row).real
+    return k_row
+
+
+def _lifted(p: np.ndarray) -> np.ndarray:
     floor = p.min()
     if floor < 0.0:
         p -= floor  # uniform lift: shifts only the coincident-point value
+    return p
+
+
+def _unit_spectrum(n: int, dx: float) -> np.ndarray:
+    """DFT of the kernel row over the full grid; always >= 0. Not cached."""
+    return _lifted(np.fft.fftn(_kernel_row(n, dx)).real)
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_half_spectrum(n: int, dx: float) -> np.ndarray:
+    """``_unit_spectrum`` over the rfftn half (kz = 0 .. n/2), cached.
+
+    The kernel row is even, so the half holds every value of the full
+    spectrum, its minimum included, and gets the same lift.
+    """
+    p = _lifted(np.fft.rfftn(_kernel_row(n, dx)).real.copy())
     p.flags.writeable = False  # cached, so every caller shares this array
     return p
 
 
 def _half_spectrum(n: int, dx: float, constants: PhysicalConstants) -> np.ndarray:
     """hbar G P over the rfftn half spectrum (kz = 0 .. n/2); a fresh array."""
-    return constants.hbar * constants.G * _unit_spectrum(n, dx)[:, :, : n // 2 + 1]
+    return constants.hbar * constants.G * _unit_half_spectrum(n, dx)
 
 
 def _filter(x: np.ndarray, amp: np.ndarray) -> np.ndarray:

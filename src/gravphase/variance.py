@@ -19,49 +19,70 @@ single non-negative integrand,
 
 which is how the total is actually evaluated here: the subtraction
 I7 - I8 is done inside the integrand where it is exact, never between
-two large quadrature results. For small rho the integral is evaluated
-from its rho^2 power series instead, which is accurate to machine
-precision for rho < 1/2 and avoids the 0/0 in erf(rho ...)/rho.
+two large results.
+
+With tau = sinh(u) and r = rho / sqrt(2) the integral is
+int_0^U I(r sech u) cosh u du, U = asinh(tau_max), and it is split in
+three where beta = r sech u crosses 6 and 1/2:
+
+- beta >= 6: erf(beta) is 1.0 in double precision, so this piece is the
+  closed form r u_A - (sqrt(pi)/2) sinh(u_A), with cosh(u_A) = r / 6;
+  both terms are positive and r u_A is the larger, so nothing cancels.
+- 1/2 <= beta <= 6: a fixed 28-point Gauss-Legendre rule in u (Golub and
+  Welsch 1969). The interval is at most ln 12 wide for large r and
+  acosh 12 at r = 6, whatever rho and tau_max are.
+- beta <= 1/2: with theta = atan(1/tau), beta = r sin(theta) and the piece
+  is r^2 int I(beta)/beta^2 dtheta over [atan2(1, tau_max), asin(1/2r)],
+  a smooth integrand that a fixed 10-point rule integrates.
+
+Each piece is integrated again with a lower-order rule (24 and 6 points);
+the difference of the two, plus a rounding allowance, is the reported
+``quadrature_error_estimate``. For rho <= sqrt(2)/2 there is no beta > 1/2
+at all and the integral is evaluated from its rho^2 power series instead,
+which converges to machine precision and avoids the 0/0 in
+erf(rho ...)/rho.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.integrate import quad
-from scipy.special import erf
+from decimal import Decimal, localcontext
 
 from .units import DimensionlessParams
 
 __all__ = [
     "VarianceBreakdown",
-    "QuadratureError",
     "i7",
     "i8",
     "phase_variance",
     "beta",
     "integrand_I",
+    "gauss_legendre",
 ]
 
 # 2 sqrt(2) / sqrt(pi), prefactor of I7
 _PREF = 2.0 * math.sqrt(2.0) / math.sqrt(math.pi)
 
-# crossover between the small-rho series and direct quadrature; the series
-# is exact to machine precision well past this point and the quadrature is
-# free of cancellation well below it, so the seam is benign
-_RHO_SERIES_MAX = 0.5
+_HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
-_QUAD_RTOL = 1e-11
-_QUAD_LIMIT = 200
+# below this rho no beta exceeds 1/2 and the rho^2 series is used
+_RHO_SERIES_MAX = math.sqrt(0.5)
 
+# beta at the two seams: erf(6) == 1.0 in double precision, and the theta
+# form of the integrand is smooth on (0, 1/2]
+_BETA_ERF_ONE = 6.0
+_BETA_SMALL = 0.5
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the achieved tolerance."""
+# (nodes, lower-order nodes) per piece
+_U_RULES = (28, 24)
+_THETA_RULES = (10, 6)
 
-    def __init__(self, message: str, achieved_tolerance: float):
-        super().__init__(f"{message} (achieved tolerance {achieved_tolerance:.3e})")
-        self.achieved_tolerance = achieved_tolerance
+# relative rounding allowance in the error estimate: the total sums a
+# few dozen positive terms, each good to a few ulp
+_ROUNDING = 32.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -103,11 +124,17 @@ def integrand_I(rho: float, tau: float) -> float:
 
 
 def _I_of_beta(b: float) -> float:
-    # direct subtraction loses all precision for small b, where
-    # I(b) = b^3/3 - b^5/10 + b^7/42 - ...; switch to the series there
+    # direct subtraction loses all precision for small b
+    if b < 0.25:
+        return b * b * _I_over_beta2(b)
+    return b - _HALF_SQRT_PI * math.erf(b)
+
+
+def _I_over_beta2(b: float) -> float:
+    """I(b) / b^2 = b/3 - b^3/10 + b^5/42 - ..., by series below b = 1/4."""
     if b < 0.25:
         b2 = b * b
-        term = b * b2 / 3.0
+        term = b / 3.0
         out = term
         k = 1
         while True:
@@ -116,28 +143,51 @@ def _I_of_beta(b: float) -> float:
             k += 1
             if abs(term) <= 1e-17 * abs(out) or k > 40:
                 return out
-    return b - math.sqrt(math.pi) / 2.0 * erf(b)
+    return (b - _HALF_SQRT_PI * math.erf(b)) / (b * b)
 
 
-def _quad(fn, lo: float, hi: float, rtol: float = _QUAD_RTOL):
-    """quad with a relative-tolerance ladder; raises QuadratureError at the end."""
-    last_err, last_val = math.inf, math.nan
-    for eps in (rtol, 1e-9, 1e-7):
-        val, abserr, info, *tail = quad(
-            fn, lo, hi, epsabs=0.0, epsrel=eps, limit=_QUAD_LIMIT, full_output=1
-        )
-        last_val, last_err = val, abserr
-        if not tail:  # empty message tuple means converged
-            return val, abserr
-    achieved = abs(last_err / last_val) if last_val else math.inf
-    raise QuadratureError("quadrature did not converge", achieved)
+@functools.cache
+def gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """The n-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs.
+
+    Each root of P_n is found by Newton's method in floats, polished by one
+    Newton step in 34-digit decimal arithmetic, where its weight
+    2 (1 - x^2) / (n P_(n-1)(x))^2 is also formed; nodes and weights are
+    then correctly rounded, which float arithmetic alone misses by several
+    ulp in the weights.
+    """
+    rule = []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, q = _legendre(n, x)
+            dx = p * (x * x - 1.0) / (n * (x * p - q))
+            x -= dx
+            if abs(dx) <= 1e-15:
+                break
+        with localcontext() as ctx:
+            ctx.prec = 34
+            x = Decimal(x)
+            p, q = _legendre(n, x)
+            x -= p * (x * x - 1) / (n * (x * p - q))
+            _, q = _legendre(n, x)
+            rule.append((float((1 - x) / 2), float((1 - x * x) / (n * q) ** 2)))
+    return tuple(rule)
+
+
+def _legendre(n: int, x):
+    """(P_n(x), P_(n-1)(x)) by the three-term recurrence, for float or Decimal x."""
+    p0, p1 = 1, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, p0
 
 
 def i8(d: DimensionlessParams) -> float:
     """Second variance term, (2 mu / rho) int erf(rho / sqrt(2 (1+tau^2))) dtau.
 
     Reported as i7 - total from ``phase_variance``, which never subtracts
-    two large quadrature results; i8 -> i7 as rho -> 0.
+    two large results; i8 -> i7 as rho -> 0.
     """
     return phase_variance(d).i8
 
@@ -153,28 +203,59 @@ def phase_variance(d: DimensionlessParams) -> VarianceBreakdown:
     v7 = i7(d)
     if d.rho == 0.0:
         return VarianceBreakdown(i7=v7, i8=v7, total=0.0, quadrature_error_estimate=0.0)
-    if d.rho < _RHO_SERIES_MAX:
+    if d.rho <= _RHO_SERIES_MAX:
         total = _total_series(d.mu, d.rho, d.tau_max)
-        err = 4.0 * abs(total) * 1e-16
+        err = _ROUNDING * abs(total)
     else:
-        total, err = _total_quad(d.mu, d.rho, d.tau_max)
+        total, err = _total_split(d.mu, d.rho, d.tau_max)
     total = max(total, 0.0)
     return VarianceBreakdown(
         i7=v7, i8=v7 - total, total=total, quadrature_error_estimate=err
     )
 
 
-def _total_quad(mu: float, rho: float, tau_max: float) -> tuple[float, float]:
-    """(4 mu / (sqrt(pi) rho)) int_0^tau_max I(beta(tau)) dtau via tau = sinh(u)."""
-    umax = math.asinh(tau_max)
-
-    def g(u: float) -> float:
-        ch = math.cosh(u)
-        return _I_of_beta(rho / (math.sqrt(2.0) * ch)) * ch
-
-    val, abserr = _quad(g, 0.0, umax)
+def _total_split(mu: float, rho: float, tau_max: float) -> tuple[float, float]:
+    """The total and its error estimate from the three pieces (rho > sqrt(2)/2)."""
+    r = rho / math.sqrt(2.0)
+    u_max = math.asinh(tau_max)
     pref = 4.0 * mu / (math.sqrt(math.pi) * rho)
-    return pref * val, pref * abserr
+    # the closed-form head ends and the u rule starts at u0, where beta = 6
+    # (u0 = 0 when r <= 6)
+    ch0 = max(r / _BETA_ERF_ONE, 1.0)
+    sh0 = math.sqrt((ch0 - 1.0) * (ch0 + 1.0))
+    u0 = math.acosh(ch0)
+    if u_max <= u0:  # beta >= 6 all the way to tau_max
+        total = pref * (r * u_max - _HALF_SQRT_PI * tau_max)
+        return total, _ROUNDING * abs(total)
+    head = r * u0 - _HALF_SQRT_PI * sh0
+    u_small = math.acosh(r / _BETA_SMALL)
+    width = min(u_max, u_small) - u0
+    mid = []
+    for n in _U_RULES:
+        acc = 0.0
+        for t, w in gauss_legendre(n):
+            s = width * t
+            # cosh(u0 + s), without the rounding of u0 itself
+            ch = ch0 * math.cosh(s) + sh0 * math.sinh(s)
+            b = r / ch
+            acc += w * (b - _HALF_SQRT_PI * math.erf(b)) * ch
+        mid.append(width * acc)
+    tail = [0.0, 0.0]
+    theta_lo, theta_hi = math.atan2(1.0, tau_max), math.asin(_BETA_SMALL / r)
+    if u_max > u_small and theta_hi > theta_lo:
+        width = theta_hi - theta_lo
+        tail = [
+            width * sum(w * _I_over_beta2(r * math.sin(theta_lo + width * t))
+                        for t, w in gauss_legendre(n))
+            for n in _THETA_RULES
+        ]
+    # the tail is r^2 int I/beta^2 dtheta, and pref r^2 = 2 mu rho / sqrt(pi)
+    # needs no rho^2, which would overflow first
+    pref_tail = 2.0 * mu * rho / math.sqrt(math.pi)
+    total = pref * (head + mid[0]) + pref_tail * tail[0]
+    err = (pref * abs(mid[0] - mid[1]) + pref_tail * abs(tail[0] - tail[1])
+           + _ROUNDING * abs(total))
+    return total, err
 
 
 def _total_series(mu: float, rho: float, tau_max: float) -> float:

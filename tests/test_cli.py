@@ -322,3 +322,49 @@ def test_integer_inputs_are_exact(source, tmp_path, capsys):
 def test_seed_out_of_range_is_usage_error(argv, seed, capsys):
     assert run(argv + ["--seed", seed]) == 2
     assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+def test_integer_flag_accepts_integral_float(capsys):
+    # a flag reads integers by the config-file rule, so 1e4 is 10000
+    outs = []
+    for samples in ("1e4", "10000"):
+        assert run(["oracle", "--samples", samples, "--seed", "7"]) in (0, 1)
+        recs = json.loads(capsys.readouterr().out)
+        for rec in recs:
+            rec.pop("timestamp")
+        outs.append(recs)
+    assert outs[0] == outs[1]
+
+
+def test_integer_flag_rejects_fraction(capsys):
+    assert run(["oracle", "--samples", "1.5"]) == 2
+    assert "argument --samples: invalid int value: '1.5'" in capsys.readouterr().err
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import gravphase.cli as cli
+argvs = [
+    ["variance", "--mu", "1", "--rho", "1", "--tau-max", "3"],
+    ["criteria", "--mass", "1e-14", "--width", "1e-7", "--separation", "1e-6",
+     "--density", "2200"],
+    ["oracle", "--samples", "10000", "--workers", "1"],
+]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_runs_without_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(gravphase.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

@@ -231,3 +231,42 @@ def test_micro_damping_time_within_factor_three():
     assert t_full < t_cap, "variance never reaches the threshold"
     t_micro = HBAR * a / (G * m**2)
     assert t_full / t_micro <= 3.0 and t_micro / t_full <= 3.0
+
+
+def test_brentq_known_root_within_brentq_tolerance():
+    from gravphase.criteria import _brentq
+
+    root = 2.0 ** (1.0 / 3.0)
+    for xtol, rtol in ((2e-12, 1e-10), (1e-3, 1e-10), (2e-12, 1e-6), (1e-300, 1e-15)):
+        x = _brentq(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=xtol, rtol=rtol)
+        # brentq stops once the bracket is within xtol + rtol |x|
+        assert abs(x - root) <= xtol + rtol * abs(x)
+    # near zero the absolute tolerance governs
+    x = _brentq(lambda x: x - 1e-13, -1.0, 1.0)
+    assert abs(x - 1e-13) <= 2e-12
+
+
+def test_brentq_same_root_and_calls_as_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    from gravphase.criteria import _brentq
+
+    fns = [lambda x: x**3 - 2.0, lambda x: math.cos(x) - x,
+           lambda x: math.tanh(50.0 * (x - 0.7)), lambda x: math.exp(x) - 2.0]
+    for f in fns:
+        for a, b in ((-1.0, 2.0), (0.0, 1.0), (-3.0, 5.0)):
+            if (f(a) < 0.0) == (f(b) < 0.0):
+                continue
+            calls = [[], []]
+            ours = _brentq(lambda x: calls[0].append(x) or f(x), a, b)
+            ref = optimize.brentq(lambda x: calls[1].append(x) or f(x), a, b, rtol=1e-10)
+            assert ours == ref
+            assert calls[0] == calls[1]
+
+
+def test_brentq_rejects_bad_bracket_and_reports_nonconvergence():
+    from gravphase.criteria import _brentq
+
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(RuntimeError, match="3 iterations"):
+        _brentq(lambda x: x**3 - 2.0, 0.0, 2.0, maxiter=3)

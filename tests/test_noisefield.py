@@ -293,3 +293,15 @@ def test_min_box_length_is_the_simulate_default_box():
     grid = FieldGrid(n=32, box_length=box, dt=p.T, n_steps=1, seed=42)
     ens = simulate_phase_variance(p, grid, 64)
     assert ens.n_members == 64 and ens.variance > 0.0
+
+
+def test_cached_half_spectrum_is_the_full_spectrum_half():
+    from gravphase.noisefield import _unit_half_spectrum
+
+    for n, dx in ((32, 0.1), (64, 1e-3)):
+        half = _unit_half_spectrum(n, dx)
+        full = _unit_spectrum(n, dx)
+        assert half.shape == (n, n, n // 2 + 1)
+        assert not half.flags.writeable
+        assert np.allclose(half, full[:, :, : n // 2 + 1], rtol=1e-12, atol=0.0)
+        assert half.min() >= 0.0

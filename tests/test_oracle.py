@@ -122,3 +122,10 @@ def test_mc_argument_validation():
         mc_i4_spatial(1.0, 100, seed=1)
     with pytest.raises(ValueError, match="R"):
         mc_i6_spatial(1.0, -0.5, N_FAST, seed=1)
+
+
+def test_erf_identity_far_separation():
+    # panels cover only [c - 15, c + 15] once c is large
+    assert erf_identity_check(1e4, 1.0) < 1e-12
+    assert erf_identity_check(40.0, 0.5) < 1e-12
+    assert erf_identity_check(0.0, 1.0) == 0.0

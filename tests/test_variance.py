@@ -154,3 +154,73 @@ def test_deep_spreading_regime_stable():
     # the substituted integrand must survive extreme horizons
     v = phase_variance(_d(1.0, 2.0, 1e12)).total
     assert math.isfinite(v) and v > 0.0
+
+
+# (mu, rho, tau_max) covering the rho^2 series (rho <= sqrt(2)/2), the
+# closed form alone (beta >= 6 up to tau_max), the closed form with the
+# u rule, the u rule with the theta rule, all three pieces, the seams, and
+# the critical-length line tau = rho^2 up to rho = 1e96
+GOLDEN_POINTS = [
+    (1.0, 0.01, 1e-3), (1.0, 0.1, 1.0), (1.0, 0.3, 1.0), (1.0, 0.5, 10.0),
+    (1.0, 0.6, 2.0), (1.0, 0.7, 1e6), (1.0, 0.7071, 0.1),
+    (1.0, 1.0, 0.5), (1.0, 2.0, 1.0), (1.0, 5.0, 2.0), (1.0, 8.0, 5.0),
+    (1.0, 0.72, 0.5), (1.0, 1.0, 3.0), (1.0, 1.0, 1e4), (1.0, 3.0, 100.0),
+    (1.0, 8.0, 1e12), (1.0, 8.4, 1e300), (1.0, 1.0, 1.0),
+    (1.0, 8.485281374238571, 3.0), (1.0, 8.485281374238571, 1e3),
+    (1.0, 20.0, 0.5), (1.0, 1e3, 10.0), (1.0, 1e6, 1e4), (1.0, 1e30, 1e20),
+    (1.0, 1e96, 1e90),
+    (1.0, 20.0, 10.0), (1.0, 1e3, 500.0), (1.0, 1e10, 3e9),
+    (1.0, 20.0, 100.0), (1.0, 1e3, 1e6), (1.0, 6.2e4, 1.4e17), (1.0, 1e8, 1e18),
+    (1e-3, 5.0, 7.0), (42.0, 1e4, 1e8), (0.2, 0.4, 3.0), (7.5, 2.5, 0.01),
+] + [(1.0, r, r * r) for r in (0.6, 0.9, 3.0, 9.0, 30.0, 1e2, 1e3, 1e5, 1e8, 1e12,
+                               1e20, 1e34, 1e50, 1e70, 1e96)]
+
+
+def _mp_total(mu, rho, tau):
+    """DeltaPhi^2 at 34 digits from the single integrand, by mpmath quadrature."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(34):
+        mu, rho, tau = mp.mpf(mu), mp.mpf(rho), mp.mpf(tau)
+        r, u_max = rho / mp.sqrt(2), mp.asinh(tau)
+
+        def big_i(b):  # b - int_0^b exp(-x^2) dx, by series where it cancels
+            if b < mp.mpf("1e-6"):
+                return b**3 * (mp.mpf(1) / 3 - b * b / 10 + b**4 / 42)
+            return b - mp.sqrt(mp.pi) / 2 * mp.erf(b)
+
+        acc = mp.mpf(0)
+        u_a = min(mp.acosh(r / 6), u_max) if r > 6 else mp.mpf(0)
+        if u_a > 0:  # erf = 1 - erfc; erfc < 1e-44 where beta > 10
+            acc += r * u_a - mp.sqrt(mp.pi) / 2 * mp.sinh(u_a)
+            u_10 = min(mp.acosh(r / 10), u_a) if r > 10 else mp.mpf(0)
+            acc += mp.sqrt(mp.pi) / 2 * mp.quad(
+                lambda u: mp.erfc(r / mp.cosh(u)) * mp.cosh(u), [u_10, u_a])
+        u_b = min(mp.acosh(2 * r), u_max) if r > 0.5 else mp.mpf(0)
+        if u_b > u_a:
+            acc += mp.quad(lambda u: big_i(r / mp.cosh(u)) * mp.cosh(u),
+                           mp.linspace(u_a, u_b, 4))
+        if u_max > u_b:  # tau = cot(theta) on the far tail
+            acc += mp.quad(lambda t: big_i(r * mp.sin(t)) / mp.sin(t) ** 2,
+                           [mp.atan2(1, tau), mp.atan2(1, mp.sinh(u_b))])
+        return 4 * mu / (mp.sqrt(mp.pi) * rho) * acc
+
+
+@pytest.mark.parametrize("mu, rho, tau", GOLDEN_POINTS)
+def test_total_matches_mpmath(mu, rho, tau):
+    ref = _mp_total(mu, rho, tau)
+    vb = phase_variance(_d(mu, rho, tau))
+    err = float(abs(vb.total - ref))
+    assert err <= 1e-14 * float(ref)
+    assert vb.quadrature_error_estimate >= err
+
+
+def test_gauss_legendre_rule_is_exact_for_its_degree():
+    from gravphase.variance import gauss_legendre
+
+    for n in (6, 10, 20, 24):
+        rule = gauss_legendre(n)
+        assert [t for t, _ in rule] == sorted(t for t, _ in rule)
+        # int_0^1 x^k dx = 1/(k+1) for every k < 2n
+        for k in range(2 * n):
+            assert math.isclose(sum(w * t**k for t, w in rule), 1.0 / (k + 1),
+                                rel_tol=1e-14)
