@@ -12,6 +12,13 @@ both of which reduce to L_c = a = hbar^2 / G m^3 on the boundary mu = 1.
 All order-one constants (the threshold, the constant in t_q) are
 conventions; only scaling exponents and the mu = 1 boundary are
 convention-free, and the defaults here fix the conventions explicitly.
+
+Both roots solve DeltaPhi^2 = threshold along a line on which the variance
+rises from 0 (tau for the damping time, tau = rho^2 for L_c) with one scan:
+the point grows eightfold, clamped at a cap, until the sign changes, and
+Brent's method refines that bracket from the end values the scan has. The
+scan raises BracketError if the sign has not changed at the cap; the
+damping time checks its cap first and returns the cap as a sentinel.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from .units import (
     CODATA2018, DimensionlessParams, PacketPair, PhysicalConstants, coupling, time_unit,
 )
-from .variance import phase_variance
+from .variance import _I_over_beta2, phase_variance
 
 __all__ = [
     "Regime",
@@ -37,6 +44,7 @@ __all__ = [
     "damping_time_short",
     "critical_length",
     "critical_mass",
+    "width_from_density",
     "classify",
     "decoherence_summary",
 ]
@@ -98,15 +106,17 @@ class BracketError(RuntimeError):
 
 
 def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 1e-10,
-            maxiter: int = 100) -> float:
+            maxiter: int = 100, *, fa=None, fb=None) -> float:
     """Root of f between xa and xb, where f changes sign (Brent 1973).
 
     The steps and the stopping rule (half the bracket below
     (xtol + rtol |x|) / 2) are those of scipy.optimize.brentq, so for the
     same f and tolerances this returns the same root after the same calls.
+    Known end values f(xa), f(xb) can be passed as ``fa``, ``fb``.
     """
     xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -147,6 +157,19 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 1e-10,
     raise RuntimeError(f"root not converged after {maxiter} iterations")
 
 
+def _root(f, hi: float, cap: float, what: str) -> float:
+    """Root of an increasing f with f(0) < 0, scanning hi, 8 hi, ... up to cap."""
+    lo, f_lo = 0.0, f(0.0)
+    f_hi = f(hi)
+    while f_hi < 0.0:
+        if hi >= cap:
+            raise BracketError(f"{what} root not bracketable", lo, hi)
+        lo, f_lo = hi, f_hi
+        hi = min(hi * 8.0, cap)
+        f_hi = f(hi)
+    return _brentq(f, lo, hi, fa=f_lo, fb=f_hi)
+
+
 def _total(mu: float, rho: float, tau: float) -> float:
     # bracket scans start at tau = 0 or rho = 0, where the variance is 0
     if rho == 0.0 or tau == 0.0:
@@ -174,16 +197,12 @@ def damping_time(
     t_unit = time_unit(p.m, p.a, constants)
     tau_cap = t_cap / t_unit
     target = th.variance_threshold
-    if rho == 0.0 or _total(mu, rho, tau_cap) < target:
+    f_cap = _total(mu, rho, tau_cap) - target
+    if f_cap < 0.0:
         return t_cap
-
-    f = lambda tau: _total(mu, rho, tau) - target
-    lo, hi = 0.0, 1.0
-    while f(hi) < 0.0:
-        lo = hi
-        hi = min(hi * 8.0, tau_cap)
-    tau_root = _brentq(f, lo, hi)
-    return tau_root * t_unit
+    # the scan may end at the cap, whose value is already known
+    f = lambda tau: f_cap if tau == tau_cap else _total(mu, rho, tau) - target
+    return _root(f, 1.0, tau_cap, "damping time") * t_unit
 
 
 def damping_time_short(
@@ -205,34 +224,15 @@ def damping_time_short(
 
     R = 0 returns math.inf: coincident packets never decohere.
     """
-    rho = p.R / p.a
-    bracket = _short_time_bracket(rho) / p.a
+    # the bracket is sqrt(2/pi) I(b) / (a b), b = R / sqrt(2) a, I the variance integrand
+    b = p.R / p.a / math.sqrt(2.0)
+    bracket = math.sqrt(2.0 / math.pi) * (b * _I_over_beta2(b)) / p.a
     if bracket == 0.0:
         return math.inf
     t = constants.hbar / (constants.G * p.m**2) / bracket
     if threshold is not None:
         t *= threshold / 2.0
     return t
-
-
-def _short_time_bracket(rho: float) -> float:
-    """sqrt(2/pi) - erf(rho/sqrt(2))/rho, series-protected for small rho."""
-    if rho == 0.0:
-        return 0.0
-    if rho < 0.1:
-        # erf(rho/sqrt(2))/rho = sqrt(2/pi) sum (-1)^k x2^k / ((2k+1) k!)
-        # with x2 = rho^2/2, so the bracket is the k >= 1 tail of that sum
-        x2 = rho * rho / 2.0
-        term = math.sqrt(2.0 / math.pi)
-        out = 0.0
-        k = 0
-        while True:
-            k += 1
-            term *= -x2 / k
-            out -= term / (2 * k + 1)
-            if abs(term) < 1e-18 * math.sqrt(2.0 / math.pi):
-                return out
-    return math.sqrt(2.0 / math.pi) - math.erf(rho / math.sqrt(2.0)) / rho
 
 
 def critical_length(
@@ -255,32 +255,25 @@ def critical_length(
         raise ValueError("m and a must be positive")
     mu = coupling(m, a, constants)
     target = th.variance_threshold
-
     g = lambda rho: _total(mu, rho, rho * rho) - target
-    lo, hi = 0.0, max(mu**-0.25, 1e-3)
     # the variance saturates like mu log(rho) at large rho, so deep in the
     # micro regime the root can sit at astronomically large rho or not
     # exist at double precision at all; cap the scan and report it
-    while g(hi) < 0.0:
-        lo = hi
-        hi *= 8.0
-        if hi > 1e100:
-            raise BracketError("critical length root not bracketable", lo, hi)
-    rho_c = _brentq(g, lo, hi)
-
-    l_chr = constants.hbar**2 / (constants.G * m**3)
-    if mu >= 1.0:
-        asym = l_chr**0.25 * a**0.75
-        asym_method = Method.MACRO_ASYMPTOTIC
-    else:
-        asym = l_chr**0.5 * a**0.5
-        asym_method = Method.MICRO_ASYMPTOTIC
+    rho_c = _root(g, max(mu**-0.25, 1e-3), 1e100, "critical length")
+    ratio, asym_method = _asymptotic_ratio(mu)
     return CriticalLengthResult(
         l_c=rho_c * a,
         method=Method.FULL_QUADRATURE,
-        asymptote=asym,
+        asymptote=a * ratio,
         asymptote_method=asym_method,
     )
+
+
+def _asymptotic_ratio(mu: float) -> tuple[float, Method]:
+    """L_c / a = mu^(-1/4) (mu >= 1) or mu^(-1/2) (mu < 1), and its law."""
+    if mu >= 1.0:
+        return mu**-0.25, Method.MACRO_ASYMPTOTIC
+    return mu**-0.5, Method.MICRO_ASYMPTOTIC
 
 
 def critical_mass(density: float, constants: PhysicalConstants = CODATA2018) -> float:
@@ -316,18 +309,14 @@ def classify(
 ) -> Regime:
     """Regime of an object: Classical iff L_c < a, Quantum iff L_c > a.
 
-    Uses the asymptotic critical-length laws, under which the ratio
-
-        L_c / a = mu^(-1/4)  (mu >= 1),   mu^(-1/2)  (mu < 1)
-
+    Uses the asymptotic critical-length laws, under which the ratio L_c / a
     is continuous and strictly decreasing in m, equals 1 exactly at
     m = critical_mass(density) when a is derived from the density, and
     defines the Boundary verdict within ``band`` of 1.
     """
     if a is None:
         a = width_from_density(m, density)
-    mu = coupling(m, a, constants)
-    ratio = mu**-0.25 if mu >= 1.0 else mu**-0.5
+    ratio, _ = _asymptotic_ratio(coupling(m, a, constants))
     if abs(ratio - 1.0) <= band:
         return Regime.BOUNDARY
     return Regime.CLASSICAL if ratio < 1.0 else Regime.QUANTUM

@@ -120,18 +120,18 @@ def integrand_I(rho: float, tau: float) -> float:
     The total phase variance is (4 mu / (sqrt(pi) rho)) times the tau
     integral of this quantity.
     """
-    return _I_of_beta(beta(rho, tau))
-
-
-def _I_of_beta(b: float) -> float:
-    # direct subtraction loses all precision for small b
-    if b < 0.25:
-        return b * b * _I_over_beta2(b)
-    return b - _HALF_SQRT_PI * math.erf(b)
+    b = beta(rho, tau)
+    return b * (b * _I_over_beta2(b))
 
 
 def _I_over_beta2(b: float) -> float:
-    """I(b) / b^2 = b/3 - b^3/10 + b^5/42 - ..., by series below b = 1/4."""
+    """I(b) / b^2 = b/3 - b^3/10 + b^5/42 - ..., by series below b = 1/4.
+
+    The direct subtraction loses all precision for small b; for b above
+    1e150, where b^2 would overflow, I(b) is b itself.
+    """
+    if b > 1e150:
+        return 1.0 / b
     if b < 0.25:
         b2 = b * b
         term = b / 3.0
@@ -243,7 +243,12 @@ def _total_split(mu: float, rho: float, tau_max: float) -> tuple[float, float]:
     tail = [0.0, 0.0]
     theta_lo, theta_hi = math.atan2(1.0, tau_max), math.asin(_BETA_SMALL / r)
     if u_max > u_small and theta_hi > theta_lo:
-        width = theta_hi - theta_lo
+        # near the seam both angles are close to pi/2 and their difference
+        # cancels, so where tau_s = cot(theta_hi) < 1 it is taken as one atan
+        # (for larger tau_s the product tau_max tau_s could overflow)
+        tau_s = math.sqrt((r / _BETA_SMALL - 1.0) * (r / _BETA_SMALL + 1.0))
+        width = (math.atan((tau_max - tau_s) / (1.0 + tau_max * tau_s)) if tau_s < 1.0
+                 else theta_hi - theta_lo)
         tail = [
             width * sum(w * _I_over_beta2(r * math.sin(theta_lo + width * t))
                         for t, w in gauss_legendre(n))

@@ -17,7 +17,10 @@ from gravphase.criteria import (
     decoherence_summary,
     width_from_density,
 )
-from gravphase.units import CODATA2018, make_params, nondimensionalize
+from gravphase.units import (
+    CODATA2018, DimensionlessParams, coupling, make_params, nondimensionalize,
+)
+from gravphase.variance import phase_variance
 
 HBAR = CODATA2018.hbar
 G = CODATA2018.G
@@ -270,3 +273,60 @@ def test_brentq_rejects_bad_bracket_and_reports_nonconvergence():
         _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(RuntimeError, match="3 iterations"):
         _brentq(lambda x: x**3 - 2.0, 0.0, 2.0, maxiter=3)
+
+
+def test_damping_time_short_matches_mpmath():
+    # a = 1 m makes rho = R exactly; the reference is the closed form at 40 digits
+    mp = pytest.importorskip("mpmath")
+    m = 1e-16
+    for i in range(26):
+        rho = 0.1 + 0.01 * i
+        with mp.workdps(40):
+            r = mp.mpf(rho)
+            bracket = mp.sqrt(2 / mp.pi) - mp.erf(r / mp.sqrt(2)) / r
+            ref = mp.mpf(HBAR) / (mp.mpf(G) * mp.mpf(m) ** 2) / bracket
+        t = damping_time_short(make_params(m, 1.0, rho, 1.0))
+        assert abs(t - float(ref)) <= 2e-14 * float(ref), rho
+
+
+def test_damping_time_short_far_separation():
+    # R / a beyond 1e154, where (R / a)^2 overflows: the bracket is sqrt(2/pi) / a
+    m, a = 1e-16, 1e-160
+    t = damping_time_short(make_params(m, a, 1e-5, 1.0))
+    assert math.isclose(t, HBAR * a / (G * m**2 * math.sqrt(2.0 / math.pi)), rel_tol=1e-14)
+
+
+def test_roots_evaluate_no_point_twice(monkeypatch):
+    import gravphase.criteria as criteria
+
+    seen = []
+    real = criteria.phase_variance
+
+    def counted(d):
+        seen.append((d.mu, d.rho, d.tau_max))
+        return real(d)
+
+    monkeypatch.setattr(criteria, "phase_variance", counted)
+    a = 1e-6
+    for mu in (0.5, 1.0, 5.0, 1e2, 1e4, 1e8):
+        m = _mass_for_mu(mu, a)
+        pair = make_params(m, a, 10.0 * a, 1.0)
+        # a cap just above the root makes the scan end on the cap itself
+        # (at mu = 5 the root is tau = 2.1, between the scan points 1 and 8)
+        t_cap = 1.001 * damping_time(pair)
+        for solve in (lambda: critical_length(m, a), lambda: damping_time(pair),
+                      lambda: damping_time(pair, t_cap=t_cap)):
+            seen.clear()
+            solve()
+            assert seen and len(set(seen)) == len(seen)
+
+
+def test_critical_length_root_between_last_scan_point_and_cap():
+    # at mu = 0.02691 the root sits near rho = 9.5e99, above the last
+    # eightfold scan point below the 1e100 cap (5.4e99)
+    a = 1e-6
+    m = _mass_for_mu(0.02691, a)
+    rho_c = critical_length(m, a).l_c / a
+    assert 5.5e99 < rho_c <= 1e100
+    d = DimensionlessParams(mu=coupling(m, a), rho=rho_c, tau_max=rho_c**2)
+    assert math.isclose(phase_variance(d).total, math.pi**2, rel_tol=1e-9)

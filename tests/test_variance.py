@@ -224,3 +224,22 @@ def test_gauss_legendre_rule_is_exact_for_its_degree():
         for k in range(2 * n):
             assert math.isclose(sum(w * t**k for t, w in rule), 1.0 / (k + 1),
                                 rel_tol=1e-14)
+
+
+# just above rho = sqrt(2)/2 the theta piece spans angles next to pi/2
+SEAM_POINTS = [(1.0, 0.70710678395716364, 0.00013079)] + [
+    (mu, math.sqrt(0.5) * (1.0 + 10.0**-k), tau)
+    for k in (3, 6, 9, 12, 15)
+    for mu, tau in ((1.0, 1e-6), (0.1, 1e-2), (10.0, 1.0), (1.0, 1e3))
+]
+
+
+@pytest.mark.parametrize("mu, rho, tau", SEAM_POINTS)
+def test_total_matches_mpmath_near_seam(mu, rho, tau):
+    test_total_matches_mpmath(mu, rho, tau)
+
+
+def test_integrand_beyond_squared_overflow():
+    # beta^2 overflows above 1.3e154, where I(beta) = beta - sqrt(pi)/2 is beta
+    for b in (1e151, 1e200, 1e300):
+        assert math.isclose(integrand_I(b * math.sqrt(2.0), 0.0), b, rel_tol=1e-15)
