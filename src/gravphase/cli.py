@@ -364,12 +364,12 @@ def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
     rep = sn_cancellation_check(1.0, 1.0, n, seed, workers=workers)
     records = [_mc_row("cancellation", rep.sum_value, rep.combined_se, 0.0,
                        c1=1.0, separation=1.0)]
-    for c1 in (0.25, 1.0, 4.0):
-        est = mc_i4_spatial(c1, n, seed, workers=workers)
+    # each group's rows read one shared draw at three points
+    c1s, ratios = (0.25, 1.0, 4.0), (0.5, 1.0, 3.0)
+    for c1, est in zip(c1s, mc_i4_spatial(c1s, n, seed, workers=workers)):
         records.append(_mc_row("i4_closed_form", est.value, est.standard_error,
                                i4_closed_form(c1), c1=c1))
-    for ratio in (0.5, 1.0, 3.0):
-        est = mc_i6_spatial(1.0, ratio, n, seed, workers=workers)
+    for ratio, est in zip(ratios, mc_i6_spatial(1.0, ratios, n, seed, workers=workers)):
         records.append(_mc_row("i6_closed_form", est.value, est.standard_error,
                                i6_closed_form(1.0, ratio), c1=1.0, separation=ratio))
     for ratio in (0.1, 1.0, 5.0):

@@ -14,11 +14,23 @@ block; each batch is summed by numpy's pairwise sum, never a BLAS dot
 reduced in fixed batch order. The same (seed, n) therefore gives
 bit-identical estimates regardless of how many workers execute the
 batches or how many threads BLAS runs.
+
+Common random numbers: estimates that share a stream are one sample
+evaluated at several points. Given a sequence of C1 (mc_i4_spatial) or R
+(mc_i6_spatial) values, each batch is drawn once and rescaled and shifted
+per point, and every estimate keeps the bits of a call for its point
+alone. The `oracle` command's three i4 rows (C1 = 1/4, 1, 4, so
+sigma = sqrt(C1/2) = sqrt(2) 2^-2, 2^-1, 2^0) are therefore exact
+power-of-two rescalings of one another: one statistical check seen at
+three scales, not three independent checks. The three i6 rows are
+correlated the same way, through one draw at three shifts.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +53,9 @@ __all__ = [
 
 # fixed batch size; part of the determinism contract, do not tune per run
 _BATCH = 1 << 16
+
+# samples with |z' - z''| below this many sigma are redrawn
+_REDRAW_FLOOR = 1e-12
 
 # domain tags decorrelate the streams of the different estimators
 _TAG_I4 = 0x11
@@ -101,47 +116,84 @@ def _reduce_batches(partials: list[tuple[float, float, int]]) -> tuple[float, fl
 
 
 def _mean_inv_distance(
-    seed: int, tag: int, n: int, c1: float, shift: float, workers: int | None,
-    single: bool = False,
-) -> tuple[float, float]:
-    """Mean and standard error of 1/|z' - z''| at per-axis variance C1/2."""
-    sigma = math.sqrt(c1 / 2.0)
+    seed: int, tag: int, n: int, points: Sequence[tuple[float, float]],
+    workers: int | None, single: bool = False,
+) -> list[tuple[float, float]]:
+    """Mean and standard error of 1/|z' - z''| at each (C1, shift) point.
+
+    Every point reads the same normals: each batch is drawn once and then
+    rescaled to per-axis variance C1/2 and shifted, point by point, so the
+    estimates share their random numbers and each equals what a call with
+    that point alone returns, bit for bit. Each worker thread draws into
+    buffers of its own, reused from batch to batch.
+    """
+    scales = [(math.sqrt(c1 / 2.0), shift) for c1, shift in points]
     full, rem = divmod(n, _BATCH)
     sizes = [_BATCH] * full + ([rem] if rem else [])
-    task = lambda b, cnt: _inv_distance_batch(seed, tag, b, cnt, sigma, shift, single)
-    return _reduce_batches(parallel_map(task, range(len(sizes)), sizes, workers=workers))
+    local = threading.local()
+
+    def task(b: int, count: int) -> list[tuple[float, float, int]]:
+        if not hasattr(local, "buffers"):
+            rows = sizes[0]
+            local.buffers = (np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows))
+        return _inv_distance_batch(seed, tag, b, count, scales, single, local.buffers)
+
+    partials = parallel_map(task, range(len(sizes)), sizes, workers=workers)
+    return [_reduce_batches([p[k] for p in partials]) for k in range(len(scales))]
+
+
+def _draw(g: np.random.Generator, u: np.ndarray, w: np.ndarray, single: bool) -> np.ndarray:
+    """Fill u with z' - z'' in units of sigma (z' alone if ``single``); w is scratch."""
+    g.standard_normal(out=u)
+    if not single:
+        g.standard_normal(out=w)
+        np.subtract(u, w, out=u)
+    return u
+
+
+def _radii(u: np.ndarray, sigma: float, shift: float, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """|sigma u - shift e_x| per row, written through w into r."""
+    np.multiply(u, sigma, out=w)
+    w[:, 0] -= shift
+    np.einsum("ij,ij->i", w, w, out=r)
+    return np.sqrt(r, out=r)
 
 
 def _inv_distance_batch(
-    seed: int, tag: int, batch: int, count: int, sigma: float, shift: float,
-    single: bool,
-) -> tuple[float, float, int]:
-    """Sum and sum-of-squares of 1/|z' - z''| over one batch.
+    seed: int, tag: int, batch: int, count: int, scales: list[tuple[float, float]],
+    single: bool, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> list[tuple[float, float, int]]:
+    """Sum and sum-of-squares of 1/|z' - z''| over one batch, per (sigma, shift).
 
     z' and z'' are isotropic Gaussians with per-axis deviation sigma, the
     second displaced by ``shift`` along x; ``single`` fixes z'' = 0, giving
-    1/|z'|. Samples closer than 1e-12 sigma are redrawn from the same
-    stream: a probability-zero configuration that would otherwise overflow.
+    1/|z'|. Samples closer than _REDRAW_FLOOR sigma are redrawn from the
+    same stream: a probability-zero configuration that would otherwise
+    overflow. Which samples those are depends on the point, so each point
+    that needs redraws continues the stream from where the shared draw left
+    it, exactly as it would had it been drawn alone.
     """
+    u, w, r = (a[:count] for a in buffers)
     g = stream(seed, tag, batch=batch)
-
-    def radii(k: int) -> np.ndarray:
-        w = g.standard_normal((k, 3))
-        if not single:
-            w = w - g.standard_normal((k, 3))
-        w = w * sigma
-        w[:, 0] -= shift
-        return np.sqrt(np.einsum("ij,ij->i", w, w))
-
-    r = radii(count)
-    floor = 1e-12 * sigma
-    while True:
+    _draw(g, u, w, single)
+    after_draw = g.bit_generator.state
+    sums = []
+    for sigma, shift in scales:
+        _radii(u, sigma, shift, w, r)
+        floor = _REDRAW_FLOOR * sigma
         bad = np.flatnonzero(r < floor)
-        if bad.size == 0:
-            break
-        r[bad] = radii(bad.size)
-    v = 1.0 / r
-    return float(v.sum()), float((v * v).sum()), count
+        if bad.size:
+            g.bit_generator.state = after_draw
+        while bad.size:
+            k = bad.size
+            redraw = _draw(g, np.empty((k, 3)), np.empty((k, 3)), single)
+            r[bad] = _radii(redraw, sigma, shift, np.empty((k, 3)), np.empty(k))
+            bad = np.flatnonzero(r < floor)
+        np.divide(1.0, r, out=r)
+        total = float(r.sum())
+        np.multiply(r, r, out=r)
+        sums.append((total, float(r.sum()), count))
+    return sums
 
 
 def i4_closed_form(c1: float) -> float:
@@ -155,32 +207,40 @@ def i6_closed_form(c1: float, R: float) -> float:
 
 
 def mc_i4_spatial(
-    c1: float, n: int, seed: int, workers: int | None = None
-) -> McEstimate:
+    c1: float | Sequence[float], n: int, seed: int, workers: int | None = None
+) -> McEstimate | list[McEstimate]:
     """Importance-sampled same-center integral, per unit kappa.
 
     Draws z', z'' from the two (coincident) Gaussian densities with
     per-axis variance C1/2 and averages 1/|z' - z''|; the closed form is
-    sqrt(2/pi)/sqrt(C1).
+    sqrt(2/pi)/sqrt(C1). A sequence of C1 values returns a list with one
+    estimate per value, all read off one shared draw.
     """
-    _check_mc_args(c1, n)
-    mean, se = _mean_inv_distance(seed, _TAG_I4, n, c1, 0.0, workers)
-    return McEstimate(value=mean, standard_error=se, n_samples=n, seed=seed)
+    c1s, many = _check_mc_args(c1, n)
+    ests = [
+        McEstimate(value=mean, standard_error=se, n_samples=n, seed=seed)
+        for mean, se in _mean_inv_distance(seed, _TAG_I4, n, [(c, 0.0) for c in c1s], workers)
+    ]
+    return ests if many else ests[0]
 
 
 def mc_i6_spatial(
-    c1: float, R: float, n: int, seed: int, workers: int | None = None
-) -> McEstimate:
+    c1: float, R: float | Sequence[float], n: int, seed: int, workers: int | None = None
+) -> McEstimate | list[McEstimate]:
     """Importance-sampled cross integral, per unit kappa.
 
     z' is drawn around the origin and z'' around a center displaced by R;
     the average of -2/|z' - z''| has closed form -(2/R) erf(R/sqrt(2 C1)).
+    A sequence of R values returns a list with one estimate per value, all
+    read off one shared draw.
     """
     _check_mc_args(c1, n)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R}")
-    mean, se = _mean_inv_distance(seed, _TAG_I6, n, c1, R, workers)
-    return McEstimate(value=-2.0 * mean, standard_error=2.0 * se, n_samples=n, seed=seed)
+    rs, many = _positive("R", R)
+    ests = [
+        McEstimate(value=-2.0 * mean, standard_error=2.0 * se, n_samples=n, seed=seed)
+        for mean, se in _mean_inv_distance(seed, _TAG_I6, n, [(c1, r) for r in rs], workers)
+    ]
+    return ests if many else ests[0]
 
 
 def sn_cancellation_check(
@@ -205,7 +265,7 @@ def sn_cancellation_check(
     )
 
     def u_hat(tag: int) -> tuple[float, float]:
-        return _mean_inv_distance(seed, tag, n, c1, 0.0, workers, single=True)
+        return _mean_inv_distance(seed, tag, n, ((c1, 0.0),), workers, single=True)[0]
 
     ua, sea = u_hat(_TAG_U_A1)
     uap, seap = u_hat(_TAG_U_A2)
@@ -264,8 +324,21 @@ def erf_identity_check(R: float, c1: float) -> float:
     return abs(lhs - rhs)
 
 
-def _check_mc_args(c1: float, n: int) -> None:
-    if not c1 > 0:
-        raise ValueError(f"C1 must be positive, got {c1}")
+def _positive(name: str, x: float | Sequence[float]) -> tuple[tuple[float, ...], bool]:
+    """The values of a scalar or sequence argument and whether it was a
+    sequence; ValueError unless there is at least one and each is positive."""
+    many = np.ndim(x) > 0
+    values = tuple(x) if many else (x,)
+    if not values:
+        raise ValueError(f"need at least one {name} value")
+    for v in values:
+        if not v > 0:
+            raise ValueError(f"{name} must be positive, got {v}")
+    return values, many
+
+
+def _check_mc_args(c1: float | Sequence[float], n: int) -> tuple[tuple[float, ...], bool]:
+    c1s = _positive("C1", c1)
     if n < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    return c1s

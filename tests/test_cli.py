@@ -6,7 +6,8 @@ import math
 import pytest
 
 import gravphase
-from gravphase.cli import emit, run
+from gravphase.cli import _mc_row, emit, run
+from gravphase.oracle import i4_closed_form, i6_closed_form, mc_i4_spatial, mc_i6_spatial
 from gravphase.units import DimensionlessParams
 from gravphase.variance import phase_variance
 
@@ -368,3 +369,18 @@ def test_cli_runs_without_scipy():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_oracle_rows_equal_single_calls(capsys):
+    # the CLI reads each group's rows off one shared draw; every record must
+    # still be the one a call for that row alone gives
+    assert run(["oracle", "--samples", "10000", "--seed", "5", "--workers", "1"]) == 0
+    recs = _json_records(capsys)
+    want = [_mc_row("i4_closed_form", e.value, e.standard_error, i4_closed_form(c1), c1=c1)
+            for c1 in (0.25, 1.0, 4.0) for e in [mc_i4_spatial(c1, 10**4, 5)]]
+    want += [_mc_row("i6_closed_form", e.value, e.standard_error, i6_closed_form(1.0, r),
+                     c1=1.0, separation=r)
+             for r in (0.5, 1.0, 3.0) for e in [mc_i6_spatial(1.0, r, 10**4, 5)]]
+    rows = [r for r in recs if r["check"].startswith(("i4", "i6"))]
+    assert [{k: row[k] for k in w} for row, w in zip(rows, want)] == want
+    assert len(rows) == len(want)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravphase import oracle
 from gravphase.oracle import (
     erf_identity_check,
     i4_closed_form,
@@ -129,3 +130,41 @@ def test_erf_identity_far_separation():
     assert erf_identity_check(1e4, 1.0) < 1e-12
     assert erf_identity_check(40.0, 0.5) < 1e-12
     assert erf_identity_check(0.0, 1.0) == 0.0
+
+
+N_PARTIAL = 3 * oracle._BATCH + 17  # three full batches and a partial one
+C1S = (0.25, 1.0, 4.0)
+RS = (0.5, 0.8, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_multi_point_calls_equal_single_calls(workers):
+    shared4 = mc_i4_spatial(C1S, N_PARTIAL, 13, workers=workers)
+    assert shared4 == [mc_i4_spatial(c, N_PARTIAL, 13, workers=workers) for c in C1S]
+    shared6 = mc_i6_spatial(1.7, RS, N_PARTIAL, 13, workers=workers)
+    assert shared6 == [mc_i6_spatial(1.7, r, N_PARTIAL, 13, workers=workers) for r in RS]
+    # a one-element sequence is a list of one; a scalar stays a scalar
+    assert mc_i4_spatial([2.0], N_FAST, 13) == [mc_i4_spatial(2.0, N_FAST, 13)]
+
+
+def test_redraw_path_keeps_multi_point_bits(monkeypatch):
+    plain = mc_i6_spatial(1.0, RS, N_PARTIAL, 21)
+    # a floor of half a sigma sends about 1% of the i4 samples to the redraw path
+    monkeypatch.setattr(oracle, "_REDRAW_FLOOR", 0.5)
+    for workers in (1, 3):
+        shared4 = mc_i4_spatial(C1S, N_PARTIAL, 21, workers=workers)
+        assert shared4 == [mc_i4_spatial(c, N_PARTIAL, 21, workers=workers) for c in C1S]
+        shared6 = mc_i6_spatial(1.0, RS, N_PARTIAL, 21, workers=workers)
+        assert shared6 == [mc_i6_spatial(1.0, r, N_PARTIAL, 21, workers=workers) for r in RS]
+        assert mc_i6_spatial(1.0, RS, N_PARTIAL, 21, workers=workers) == shared6
+    # the redraws moved every estimate, so the path ran
+    assert all(a.value != b.value for a, b in zip(plain, shared6))
+
+
+def test_multi_point_argument_validation():
+    with pytest.raises(ValueError, match="C1"):
+        mc_i4_spatial((1.0, 0.0), N_FAST, seed=1)
+    with pytest.raises(ValueError, match="R"):
+        mc_i6_spatial(1.0, (0.5, -0.5), N_FAST, seed=1)
+    with pytest.raises(ValueError, match="at least one"):
+        mc_i4_spatial((), N_FAST, seed=1)
