@@ -417,6 +417,8 @@ def _cmd_simulate(params: dict) -> tuple[list[dict], bool]:
     if box is None:
         box = min_box_length(pair)
     steps = params["steps"]
+    if steps < 1:
+        raise _UsageError(f"invalid value for steps: {steps} (need >= 1)")
     grid = FieldGrid(
         n=params["grid_n"], box_length=box, dt=pair.T / steps,
         n_steps=steps, seed=params["seed"],

@@ -284,6 +284,8 @@ def measured_covariance(
                 f"separation {r} outside [{dx}, {grid.box_length / 2.0}]"
             )
         lags.append(max(1, round(r / dx)))
+    if not lags:
+        raise ValueError("need at least one separation")
     n = grid.n
     p = _half_spectrum(n, dx, constants)
     p[:, :, 1 : n // 2] *= 2.0  # mirror multiplicity

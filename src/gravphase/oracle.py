@@ -24,10 +24,15 @@ sigma = sqrt(C1/2) = sqrt(2) 2^-2, 2^-1, 2^0) are therefore exact
 power-of-two rescalings of one another: one statistical check seen at
 three scales, not three independent checks. The three i6 rows are
 correlated the same way, through one draw at three shifts.
+
+Each thread draws into scratch of its own, _BATCH rows of 7 doubles
+(about 3.7 MB), kept while the thread lives: for the life of the process
+in a thread that calls with workers <= 1, for one call in a worker pool.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Sequence
@@ -56,6 +61,9 @@ _BATCH = 1 << 16
 
 # samples with |z' - z''| below this many sigma are redrawn
 _REDRAW_FLOOR = 1e-12
+
+# each thread's draw buffers (z', z'' and radii, _BATCH rows), made on its first batch
+_scratch = threading.local()
 
 # domain tags decorrelate the streams of the different estimators
 _TAG_I4 = 0x11
@@ -105,13 +113,10 @@ class CancellationReport:
     seed: int
 
 
-def _reduce_batches(partials: list[tuple[float, float, int]]) -> tuple[float, float]:
-    """Combine per-batch (sum, sum of squares, count) in fixed order."""
-    s = math.fsum(p[0] for p in partials)
-    s2 = math.fsum(p[1] for p in partials)
-    n = sum(p[2] for p in partials)
-    mean = s / n
-    var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+def _reduce_batches(partials: Sequence[tuple[float, float]], n: int) -> tuple[float, float]:
+    """Mean and standard error from per-batch (sum, sum of squares), in fixed order."""
+    mean = math.fsum(p[0] for p in partials) / n
+    var = max(math.fsum(p[1] for p in partials) - n * mean * mean, 0.0) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -124,22 +129,13 @@ def _mean_inv_distance(
     Every point reads the same normals: each batch is drawn once and then
     rescaled to per-axis variance C1/2 and shifted, point by point, so the
     estimates share their random numbers and each equals what a call with
-    that point alone returns, bit for bit. Each worker thread draws into
-    buffers of its own, reused from batch to batch.
+    that point alone returns, bit for bit.
     """
     scales = [(math.sqrt(c1 / 2.0), shift) for c1, shift in points]
-    full, rem = divmod(n, _BATCH)
-    sizes = [_BATCH] * full + ([rem] if rem else [])
-    local = threading.local()
-
-    def task(b: int, count: int) -> list[tuple[float, float, int]]:
-        if not hasattr(local, "buffers"):
-            rows = sizes[0]
-            local.buffers = (np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows))
-        return _inv_distance_batch(seed, tag, b, count, scales, single, local.buffers)
-
-    partials = parallel_map(task, range(len(sizes)), sizes, workers=workers)
-    return [_reduce_batches([p[k] for p in partials]) for k in range(len(scales))]
+    sizes = [min(_BATCH, n - start) for start in range(0, n, _BATCH)]
+    kernel = functools.partial(_inv_distance_batch, seed, tag, scales=scales, single=single)
+    partials = parallel_map(kernel, range(len(sizes)), sizes, workers=workers)
+    return [_reduce_batches(per_point, n) for per_point in zip(*partials)]
 
 
 def _draw(g: np.random.Generator, u: np.ndarray, w: np.ndarray, single: bool) -> np.ndarray:
@@ -160,9 +156,8 @@ def _radii(u: np.ndarray, sigma: float, shift: float, w: np.ndarray, r: np.ndarr
 
 
 def _inv_distance_batch(
-    seed: int, tag: int, batch: int, count: int, scales: list[tuple[float, float]],
-    single: bool, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> list[tuple[float, float, int]]:
+    seed: int, tag: int, batch: int, count: int, scales: list[tuple[float, float]], single: bool
+) -> list[tuple[float, float]]:
     """Sum and sum-of-squares of 1/|z' - z''| over one batch, per (sigma, shift).
 
     z' and z'' are isotropic Gaussians with per-axis deviation sigma, the
@@ -173,7 +168,9 @@ def _inv_distance_batch(
     that needs redraws continues the stream from where the shared draw left
     it, exactly as it would had it been drawn alone.
     """
-    u, w, r = (a[:count] for a in buffers)
+    if not hasattr(_scratch, "buffers"):
+        _scratch.buffers = (np.empty((_BATCH, 3)), np.empty((_BATCH, 3)), np.empty(_BATCH))
+    u, w, r = (a[:count] for a in _scratch.buffers)
     g = stream(seed, tag, batch=batch)
     _draw(g, u, w, single)
     after_draw = g.bit_generator.state
@@ -192,7 +189,7 @@ def _inv_distance_batch(
         np.divide(1.0, r, out=r)
         total = float(r.sum())
         np.multiply(r, r, out=r)
-        sums.append((total, float(r.sum()), count))
+        sums.append((total, float(r.sum())))
     return sums
 
 
@@ -264,14 +261,11 @@ def sn_cancellation_check(
         p2, 0.0, NATURAL
     )
 
-    def u_hat(tag: int) -> tuple[float, float]:
-        return _mean_inv_distance(seed, tag, n, ((c1, 0.0),), workers, single=True)[0]
-
-    ua, sea = u_hat(_TAG_U_A1)
-    uap, seap = u_hat(_TAG_U_A2)
     # I2's substitution variables are I1's samples; same streams, same result
-    ub, seb = u_hat(_TAG_U_B1)
-    ubp, sebp = u_hat(_TAG_U_B2)
+    (ua, sea), (uap, seap), (ub, seb), (ubp, sebp) = [
+        _mean_inv_distance(seed, tag, n, ((c1, 0.0),), workers, single=True)[0]
+        for tag in (_TAG_U_A1, _TAG_U_A2, _TAG_U_B1, _TAG_U_B2)
+    ]
 
     i1 = ua * uap
     i2 = ua * uap

@@ -384,3 +384,17 @@ def test_oracle_rows_equal_single_calls(capsys):
     rows = [r for r in recs if r["check"].startswith(("i4", "i6"))]
     assert [{k: row[k] for k in w} for row, w in zip(rows, want)] == want
     assert len(rows) == len(want)
+
+
+def test_simulate_zero_steps_is_usage_error(capsys):
+    argv = ["simulate", "--mass", "5.5028e-18", "--width", "1e-6", "--separation", "1e-6",
+            "--horizon", "2.609e4", "--grid-n", "32", "--steps", "0", "--members", "64"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: invalid value for steps: 0 (need >= 1)\n"
+
+
+def test_covariance_empty_separations_is_usage_error(capsys):
+    assert run(["covariance", "--grid-n", "32", "--realizations", "100",
+                "--separations", ","]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: need at least one separation\n")

@@ -127,6 +127,12 @@ def test_measured_covariance_validation():
         measured_covariance(g, 100, [g.dx / 3.0])  # below the lattice spacing
 
 
+def test_measured_covariance_needs_a_separation():
+    g = FieldGrid(n=32, box_length=1.0, dt=1.0, n_steps=1, seed=0)
+    with pytest.raises(ValueError, match="need at least one separation"):
+        measured_covariance(g, 100, [])
+
+
 def test_smeared_potential_constant_field():
     g = FieldGrid(n=64, box_length=16.0, dt=1.0, n_steps=1, seed=0)
     pk = GaussianPacket(center=(8.0, 8.0, 8.0), a=1.0, m=2.5)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -168,3 +169,28 @@ def test_multi_point_argument_validation():
         mc_i6_spatial(1.0, (0.5, -0.5), N_FAST, seed=1)
     with pytest.raises(ValueError, match="at least one"):
         mc_i4_spatial((), N_FAST, seed=1)
+
+
+def test_single_density_redraw_path(monkeypatch):
+    # sn_cancellation_check draws one density per stream; a floor of half a
+    # sigma sends about 3% of its samples to the redraw path
+    plain = sn_cancellation_check(1.0, 1.0, N_PARTIAL, 23)
+    monkeypatch.setattr(oracle, "_REDRAW_FLOOR", 0.5)
+    one, three = (sn_cancellation_check(1.0, 1.0, N_PARTIAL, 23, workers=w) for w in (1, 3))
+    assert one == three
+    assert one != plain
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_persistent_scratch_leaves_no_trace(workers, monkeypatch):
+    # each thread keeps its draw buffers from call to call: a short call
+    # between two long ones must give what calls on fresh buffers give
+    sizes = (N_PARTIAL, N_FAST, N_PARTIAL)
+    for call in (lambda n: mc_i6_spatial(1.0, RS, n, 31, workers=workers),
+                 lambda n: sn_cancellation_check(1.0, 1.0, n, 31, workers=workers)):
+        reused = [call(n) for n in sizes]
+        fresh = []
+        for n in sizes:
+            monkeypatch.setattr(oracle, "_scratch", threading.local())
+            fresh.append(call(n))
+        assert reused == fresh
