@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -151,25 +152,52 @@ class CovarianceRow:
 
 
 def default_workers() -> int:
-    """Worker count: GRAVPHASE_THREADS if set, else 1."""
+    """Worker count: GRAVPHASE_THREADS if set, else the CPUs this process
+    may run on (its affinity mask; ``os.cpu_count()`` where there is none)."""
     env = os.environ.get("GRAVPHASE_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# set in the threads of the pools below, so a call made from a task runs serially
+_in_pool = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _in_pool.active = True
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's one pool of ``workers`` threads, started on first use.
+
+    Threads start as tasks need them, one per task at most, and exit with
+    the interpreter.
+    """
+    return ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread)
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pools but none of their threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def parallel_map(fn, *iterables, workers: int | None = None) -> list:
     """``list(map(fn, *iterables))``, run on up to ``workers`` threads
-    (``default_workers()`` if None)."""
+    (``default_workers()`` if None) of a pool kept for the life of the
+    process. A call from inside a pool thread runs serially, so a task
+    never waits on the pool it occupies."""
     if workers is None:
         workers = default_workers()
-    if workers <= 1:
+    if workers <= 1 or getattr(_in_pool, "active", False):
         return list(map(fn, *iterables))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, *iterables))
+    return list(_pool(workers).map(fn, *iterables))
 
 
 def stream(
@@ -273,6 +301,12 @@ def measured_covariance(
     with S = |fftn(w)|^2 P, so each realization needs only one rfftn and
     the axis marginals of S over the half spectrum, where every kz other
     than 0 and n/2 stands for itself and its mirror.
+
+    Realizations run on ``default_workers()`` threads (GRAVPHASE_THREADS
+    sets the count), each drawing stream (seed, m) into buffers of its own,
+    about 2 n^3 doubles (4 MB at n = 64), freed when the call returns; the
+    rows are reduced in realization order, so the result is bit-identical
+    for any worker count.
     """
     if n_realizations < 100:
         raise ValueError(f"need at least 100 realizations, got {n_realizations}")
@@ -292,16 +326,28 @@ def measured_covariance(
     cos_x = np.cos(2.0 * math.pi * (np.outer(lags, np.arange(n)) % n) / n)
     cos_z = cos_x[:, : n // 2 + 1]
     norm = 3.0 * float(n) ** 6
-    per_real = np.empty((n_realizations, len(lags)))
-    for m in range(n_realizations):
-        w = stream(grid.seed, _TAG_COV, m).standard_normal((n, n, n))
-        wh = np.fft.rfftn(w, axes=_AXES)
-        s = (wh.real**2 + wh.imag**2) * p
+
+    scratch = threading.local()  # each thread's buffers, for this call only
+
+    def realization(m: int) -> np.ndarray:
+        if not hasattr(scratch, "w"):
+            scratch.w = np.empty((n, n, n))
+            scratch.wh = np.empty((n, n, n // 2 + 1), dtype=complex)
+        w, wh = scratch.w, scratch.wh
+        stream(grid.seed, _TAG_COV, m).standard_normal(out=w)
+        np.fft.rfftn(w, axes=_AXES, out=wh)
+        s = w.reshape(-1)[: wh.size].reshape(wh.shape)  # w is spent: reuse it
+        re = wh.real
+        np.square(re, out=s)
+        s += np.square(wh.imag, out=re)
+        s *= p
         s_xy = s.sum(axis=2)
         # x and y marginals share their cosine weights
         m_xy = s_xy.sum(axis=1) + s_xy.sum(axis=0)
         m_z = s.sum(axis=(0, 1))
-        per_real[m] = ((cos_x * m_xy).sum(axis=1) + (cos_z * m_z).sum(axis=1)) / norm
+        return ((cos_x * m_xy).sum(axis=1) + (cos_z * m_z).sum(axis=1)) / norm
+
+    per_real = np.array(parallel_map(realization, range(n_realizations)))
     rows = []
     for j, lag in enumerate(lags):
         r_snap = lag * dx

@@ -26,8 +26,9 @@ three scales, not three independent checks. The three i6 rows are
 correlated the same way, through one draw at three shifts.
 
 Each thread draws into scratch of its own, _BATCH rows of 7 doubles
-(about 3.7 MB), kept while the thread lives: for the life of the process
-in a thread that calls with workers <= 1, for one call in a worker pool.
+(about 3.7 MB), kept while the thread lives: the calling thread's when it
+calls with workers <= 1, and each thread of parallel_map's pool, which
+lives as long as the process, otherwise.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from gravphase.noisefield import (
     CUBE_SELF_CONSTANT,
     ConfigurationError,
     EnsembleStats,
+    default_workers,
     FieldGrid,
     measured_covariance,
     min_box_length,
@@ -311,3 +312,124 @@ def test_cached_half_spectrum_is_the_full_spectrum_half():
         assert not half.flags.writeable
         assert np.allclose(half, full[:, :, : n // 2 + 1], rtol=1e-12, atol=0.0)
         assert half.min() >= 0.0
+
+
+def _both_threads(barrier):
+    """A task that holds its thread until a second task holds another."""
+
+    def task(i):
+        barrier.wait()
+        return i, threading.current_thread()
+
+    return task
+
+
+def test_parallel_map_reuses_its_pool_threads():
+    # the barrier forces two threads per call; a pool kept for the life of
+    # the process runs both calls on the same two. Thread objects, not
+    # just idents: the OS may hand a new thread the ident of a dead one
+    threads = []
+    for _ in range(2):
+        out = parallel_map(_both_threads(threading.Barrier(2, timeout=10.0)), range(2),
+                           workers=2)
+        assert [i for i, _ in out] == [0, 1]
+        threads.append({t for _, t in out})
+    assert len(threads[0]) == 2
+    assert threads[0] == threads[1]
+    assert {t.ident for t in threads[0]} == {t.ident for t in threads[1]}
+
+
+def test_nested_parallel_map_runs_serially():
+    # both pool threads are busy in the outer tasks; an inner call that
+    # queued on the same pool would wait for them forever
+    barrier = threading.Barrier(2, timeout=10.0)
+
+    def outer(i):
+        barrier.wait()
+        return parallel_map(lambda j: 10 * i + j, range(4), workers=2)
+
+    result = []
+    t = threading.Thread(target=lambda: result.append(parallel_map(outer, range(2), workers=2)),
+                         daemon=True)
+    t.start()
+    t.join(timeout=30.0)
+    assert not t.is_alive(), "nested parallel_map deadlocked"
+    assert result == [[[0, 1, 2, 3], [10, 11, 12, 13]]]
+
+
+@pytest.mark.parametrize("workers", ["2", "3", "5"])
+def test_measured_covariance_bitwise_equal_across_workers(workers, monkeypatch):
+    # per-thread buffers: a thread switch every microsecond, and more
+    # workers than cores, must not let one realization write into another's
+    g = FieldGrid(n=32, box_length=1.0, dt=0.5, n_steps=1, seed=17)
+    seps = [g.dx, 4 * g.dx, 0.25, 0.5]
+    monkeypatch.setenv("GRAVPHASE_THREADS", "1")
+    serial = measured_covariance(g, 100, seps)
+    monkeypatch.setenv("GRAVPHASE_THREADS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert measured_covariance(g, 100, seps) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_default_workers_is_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("GRAVPHASE_THREADS", raising=False)
+    assert default_workers() == len(os.sched_getaffinity(0))
+
+
+def test_default_workers_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delenv("GRAVPHASE_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert default_workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1
+
+
+def test_large_gravphase_threads_starts_one_thread_per_task(monkeypatch):
+    # the pool starts threads as tasks need them, never its whole width
+    monkeypatch.setenv("GRAVPHASE_THREADS", "4096")
+    before = threading.active_count()
+    out = parallel_map(_both_threads(threading.Barrier(2, timeout=10.0)), range(2))
+    assert [i for i, _ in out] == [0, 1]
+    assert threading.active_count() - before <= 2
+
+
+def test_interpreter_exits_after_a_pooled_call():
+    # the pool's threads must not keep the interpreter alive after main returns
+    src = str(Path(gravphase.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "gravphase", "covariance", "--grid-n", "32",
+         "--realizations", "100"],
+        env=dict(os.environ, PYTHONPATH=src, GRAVPHASE_THREADS="2"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode in (0, 1), res.stderr
+    assert '"estimate"' in res.stdout
+
+
+_FORK_SCRIPT = """
+import os, signal, threading
+from gravphase.noisefield import parallel_map
+barrier = threading.Barrier(2, timeout=10.0)
+assert parallel_map(lambda i: barrier.wait() * 0 + i, [1, 2], workers=2) == [1, 2]
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child stuck on the inherited pool dies instead of lingering
+    os._exit(0 if parallel_map(abs, [-3, -4], workers=2) == [3, 4] else 1)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_pool():
+    src = str(Path(gravphase.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", _FORK_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0"

@@ -13,7 +13,9 @@ there. A record holds:
   two acceptance tests c11 and c12
 - the median wall time of each command in the README's command-line
   block, over seven fresh processes
-- nproc, the Python, numpy and scipy versions, and ``git describe``
+- nproc, the CPUs in the affinity mask and ``GRAVPHASE_THREADS``, which
+  together set the worker count of every call without ``--workers``, the
+  Python, numpy and scipy versions, and ``git describe``
 
 perfbench runs at seed 1 for 25 s per workload, its defaults. Everything
 runs one process at a time; the record takes about six minutes on two
@@ -111,7 +113,10 @@ def machine(repo: Path) -> dict:
 
     describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=repo,
                               capture_output=True, text=True)
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+    return {"nproc": os.cpu_count(), "cpus_allowed": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else None,
+            "gravphase_threads": os.environ.get("GRAVPHASE_THREADS"),
+            "python": platform.python_version(),
             "numpy": version("numpy"), "scipy": version("scipy"),
             "git_describe": describe.stdout.strip() or None}
 

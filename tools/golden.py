@@ -47,6 +47,7 @@ CALLS = [
     ("sweep", "--param", "separation", "--start", "1e-7", "--stop", "1e-5", "--num", "4",
      "--mass", "1e-15", "--width", "1e-7", "--format", "csv"),
     ("oracle", "--samples", "1e4", "--seed", "7", "--workers", "2", "--format", "csv"),
+    ("covariance", "--grid-n", "32", "--realizations", "100"),
     ("variance", "--config", "flat.cfg"),
     ("sweep", "--config", "sweep.json"),
     # --help and --version
