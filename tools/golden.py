@@ -12,7 +12,10 @@ stderr]}``, with every ISO timestamp in stdout masked first. A ``diff`` of
 two files therefore names exactly the calls whose output, exit code or
 message changed. The list covers the README's command-line block, CSV
 variants, config-file runs, ``--help`` for the top level and each
-subcommand, and the usage and numerical error paths.
+subcommand, and the usage and numerical error paths. It then runs each
+``demos/*.py`` script of the checkout the same way, keyed by its path, with
+the wall times that demo 05 prints masked; the demos are the only callers
+of some public functions, such as ``sample_field_step``.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ CALLS = [
      "no-such-dir/out.json"),
 ]
 _TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?[+-]\d\d:\d\d")
+_ELAPSED = re.compile(r"\[\d+\.\d s, ")
 
 
 def golden(repo: Path) -> dict[str, list]:
@@ -88,12 +92,16 @@ def golden(repo: Path) -> dict[str, list]:
     with tempfile.TemporaryDirectory() as cwd:
         for name, text in CONFIGS.items():
             Path(cwd, name).write_text(text, encoding="utf-8")
-        for argv in [*readme_commands(repo), *CALLS]:
-            proc = subprocess.run([sys.executable, "-m", "gravphase", *argv], cwd=cwd,
-                                  env=env, capture_output=True, text=True, timeout=600)
-            stdout = _TIMESTAMP.sub("<timestamp>", proc.stdout)
-            out[shlex.join(argv)] = [proc.returncode,
-                                     hashlib.sha256(stdout.encode()).hexdigest(), proc.stderr]
+        runs = [(shlex.join(argv), ["-m", "gravphase", *argv])
+                for argv in [*readme_commands(repo), *CALLS]]
+        runs += [(f"demos/{demo.name}", [str(demo)])
+                 for demo in sorted((repo / "demos").glob("*.py"))]
+        for key, args in runs:
+            proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                                  capture_output=True, text=True, timeout=600)
+            stdout = _ELAPSED.sub("[<elapsed> s, ", _TIMESTAMP.sub("<timestamp>", proc.stdout))
+            out[key] = [proc.returncode, hashlib.sha256(stdout.encode()).hexdigest(),
+                        proc.stderr]
     return out
 
 
