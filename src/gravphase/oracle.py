@@ -3,7 +3,8 @@
 Every closed form used by the analytic pipeline is re-derived here by an
 independent route: the double-Gaussian Coulomb integrals by importance
 sampling (the Gaussian densities are exact sampling distributions, leaving
-only the bounded-variance 1/|z' - z''| factor to average), the
+only the bounded-variance 1/|z' - z''| factor to average; z' - z'' is
+itself Gaussian, so each sample is one normal 3-vector), the
 deterministic self-gravity cancellation by translation invariance plus MC,
 and the key error-function integral identity by direct quadrature.
 
@@ -19,8 +20,8 @@ Common random numbers: estimates that share a stream are one sample
 evaluated at several points. Given a sequence of C1 (mc_i4_spatial) or R
 (mc_i6_spatial) values, each batch is drawn once and rescaled and shifted
 per point, and every estimate keeps the bits of a call for its point
-alone. The `oracle` command's three i4 rows (C1 = 1/4, 1, 4, so
-sigma = sqrt(C1/2) = sqrt(2) 2^-2, 2^-1, 2^0) are therefore exact
+alone. The `oracle` command's three i4 rows (C1 = 1/4, 1, 4, so the
+sampling scale sqrt(C1) is 2^-1, 2^0, 2^1) are therefore exact
 power-of-two rescalings of one another: one statistical check seen at
 three scales, not three independent checks. The three i6 rows are
 correlated the same way, through one draw at three shifts.
@@ -60,10 +61,11 @@ __all__ = [
 # fixed batch size; part of the determinism contract, do not tune per run
 _BATCH = 1 << 16
 
-# samples with |z' - z''| below this many sigma are redrawn
+# samples with |scale u - shift e_x| below this many scales are redrawn
 _REDRAW_FLOOR = 1e-12
 
-# each thread's draw buffers (z', z'' and radii, _BATCH rows), made on its first batch
+# each thread's draw buffers (u, _radii's temporary and radii, _BATCH rows),
+# made on its first batch
 _scratch = threading.local()
 
 # domain tags decorrelate the streams of the different estimators
@@ -122,70 +124,61 @@ def _reduce_batches(partials: Sequence[tuple[float, float]], n: int) -> tuple[fl
 
 
 def _mean_inv_distance(
-    seed: int, tag: int, n: int, points: Sequence[tuple[float, float]],
-    workers: int | None, single: bool = False,
+    seed: int, tag: int, n: int, points: Sequence[tuple[float, float]], workers: int | None
 ) -> list[tuple[float, float]]:
-    """Mean and standard error of 1/|z' - z''| at each (C1, shift) point.
+    """Mean and standard error of 1/|scale u - shift e_x| at each (scale, shift) point.
 
-    Every point reads the same normals: each batch is drawn once and then
-    rescaled to per-axis variance C1/2 and shifted, point by point, so the
-    estimates share their random numbers and each equals what a call with
-    that point alone returns, bit for bit.
+    u is a standard normal 3-vector. Every point reads the same normals:
+    each batch is drawn once and then rescaled and shifted, point by point,
+    so the estimates share their random numbers and each equals what a call
+    with that point alone returns, bit for bit.
     """
-    scales = [(math.sqrt(c1 / 2.0), shift) for c1, shift in points]
     sizes = [min(_BATCH, n - start) for start in range(0, n, _BATCH)]
-    kernel = functools.partial(_inv_distance_batch, seed, tag, scales=scales, single=single)
+    kernel = functools.partial(_inv_distance_batch, seed, tag, points=points)
     partials = parallel_map(kernel, range(len(sizes)), sizes, workers=workers)
     return [_reduce_batches(per_point, n) for per_point in zip(*partials)]
 
 
-def _draw(g: np.random.Generator, u: np.ndarray, w: np.ndarray, single: bool) -> np.ndarray:
-    """Fill u with z' - z'' in units of sigma (z' alone if ``single``); w is scratch."""
-    g.standard_normal(out=u)
-    if not single:
-        g.standard_normal(out=w)
-        np.subtract(u, w, out=u)
-    return u
-
-
-def _radii(u: np.ndarray, sigma: float, shift: float, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """|sigma u - shift e_x| per row, written through w into r."""
-    np.multiply(u, sigma, out=w)
+def _radii(u: np.ndarray, scale: float, shift: float, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """|scale u - shift e_x| per row, written through w into r."""
+    np.multiply(u, scale, out=w)
     w[:, 0] -= shift
     np.einsum("ij,ij->i", w, w, out=r)
     return np.sqrt(r, out=r)
 
 
 def _inv_distance_batch(
-    seed: int, tag: int, batch: int, count: int, scales: list[tuple[float, float]], single: bool
+    seed: int, tag: int, batch: int, count: int, points: Sequence[tuple[float, float]]
 ) -> list[tuple[float, float]]:
-    """Sum and sum-of-squares of 1/|z' - z''| over one batch, per (sigma, shift).
+    """Sum and sum-of-squares of 1/|scale u - shift e_x| over one batch, per point.
 
-    z' and z'' are isotropic Gaussians with per-axis deviation sigma, the
-    second displaced by ``shift`` along x; ``single`` fixes z'' = 0, giving
-    1/|z'|. Samples closer than _REDRAW_FLOOR sigma are redrawn from the
-    same stream: a probability-zero configuration that would otherwise
-    overflow. Which samples those are depends on the point, so each point
-    that needs redraws continues the stream from where the shared draw left
-    it, exactly as it would had it been drawn alone.
+    u is drawn as ``count`` standard normal 3-vectors, 3 normals per sample.
+    For i4 and i6, scale u is z' - z'': two independent Gaussians of
+    per-axis variance C1/2 differ by one of variance C1, so scale =
+    sqrt(C1); for the single-density streams scale = sqrt(C1/2) and shift
+    is 0. Samples closer than _REDRAW_FLOOR scale are redrawn from the same
+    stream: a probability-zero configuration that would otherwise overflow.
+    Which samples those are depends on the point, so each point that needs
+    redraws continues the stream from where the shared draw left it,
+    exactly as it would had it been drawn alone.
     """
     if not hasattr(_scratch, "buffers"):
         _scratch.buffers = (np.empty((_BATCH, 3)), np.empty((_BATCH, 3)), np.empty(_BATCH))
     u, w, r = (a[:count] for a in _scratch.buffers)
     g = stream(seed, tag, batch=batch)
-    _draw(g, u, w, single)
+    g.standard_normal(out=u)
     after_draw = g.bit_generator.state
     sums = []
-    for sigma, shift in scales:
-        _radii(u, sigma, shift, w, r)
-        floor = _REDRAW_FLOOR * sigma
+    for scale, shift in points:
+        _radii(u, scale, shift, w, r)
+        floor = _REDRAW_FLOOR * scale
         bad = np.flatnonzero(r < floor)
         if bad.size:
             g.bit_generator.state = after_draw
         while bad.size:
             k = bad.size
-            redraw = _draw(g, np.empty((k, 3)), np.empty((k, 3)), single)
-            r[bad] = _radii(redraw, sigma, shift, np.empty((k, 3)), np.empty(k))
+            redraw = g.standard_normal((k, 3))
+            r[bad] = _radii(redraw, scale, shift, np.empty((k, 3)), np.empty(k))
             bad = np.flatnonzero(r < floor)
         np.divide(1.0, r, out=r)
         total = float(r.sum())
@@ -209,15 +202,17 @@ def mc_i4_spatial(
 ) -> McEstimate | list[McEstimate]:
     """Importance-sampled same-center integral, per unit kappa.
 
-    Draws z', z'' from the two (coincident) Gaussian densities with
-    per-axis variance C1/2 and averages 1/|z' - z''|; the closed form is
+    Averages 1/|z' - z''| for z', z'' from the two (coincident) Gaussian
+    densities with per-axis variance C1/2, drawing their difference
+    directly as one Gaussian of per-axis variance C1; the closed form is
     sqrt(2/pi)/sqrt(C1). A sequence of C1 values returns a list with one
     estimate per value, all read off one shared draw.
     """
     c1s, many = _check_mc_args(c1, n)
     ests = [
         McEstimate(value=mean, standard_error=se, n_samples=n, seed=seed)
-        for mean, se in _mean_inv_distance(seed, _TAG_I4, n, [(c, 0.0) for c in c1s], workers)
+        for mean, se in _mean_inv_distance(
+            seed, _TAG_I4, n, [(math.sqrt(c), 0.0) for c in c1s], workers)
     ]
     return ests if many else ests[0]
 
@@ -227,16 +222,19 @@ def mc_i6_spatial(
 ) -> McEstimate | list[McEstimate]:
     """Importance-sampled cross integral, per unit kappa.
 
-    z' is drawn around the origin and z'' around a center displaced by R;
-    the average of -2/|z' - z''| has closed form -(2/R) erf(R/sqrt(2 C1)).
-    A sequence of R values returns a list with one estimate per value, all
-    read off one shared draw.
+    z' lies around the origin and z'' around a center displaced by R, each
+    with per-axis variance C1/2, so z' - z'' is one Gaussian of per-axis
+    variance C1 centered at -R, drawn directly; the average of
+    -2/|z' - z''| has closed form -(2/R) erf(R/sqrt(2 C1)). A sequence of
+    R values returns a list with one estimate per value, all read off one
+    shared draw.
     """
     _check_mc_args(c1, n)
     rs, many = _positive("R", R)
     ests = [
         McEstimate(value=-2.0 * mean, standard_error=2.0 * se, n_samples=n, seed=seed)
-        for mean, se in _mean_inv_distance(seed, _TAG_I6, n, [(c1, r) for r in rs], workers)
+        for mean, se in _mean_inv_distance(
+            seed, _TAG_I6, n, [(math.sqrt(c1), r) for r in rs], workers)
     ]
     return ests if many else ests[0]
 
@@ -264,7 +262,7 @@ def sn_cancellation_check(
 
     # I2's substitution variables are I1's samples; same streams, same result
     (ua, sea), (uap, seap), (ub, seb), (ubp, sebp) = [
-        _mean_inv_distance(seed, tag, n, ((c1, 0.0),), workers, single=True)[0]
+        _mean_inv_distance(seed, tag, n, ((math.sqrt(c1 / 2.0), 0.0),), workers)[0]
         for tag in (_TAG_U_A1, _TAG_U_A2, _TAG_U_B1, _TAG_U_B2)
     ]
 
