@@ -156,10 +156,15 @@ _FLAG_TYPES = {int: _int_flag, float: float}
 
 def _coerce(key: str, value, target) -> object:
     if target == "seps":
-        if isinstance(value, (list, tuple)):
-            return [float(v) for v in value]
-        return [float(tok) for tok in str(value).split(",") if tok.strip()]
+        if not isinstance(value, (list, tuple)):
+            value = [tok for tok in str(value).split(",") if tok.strip()]
+        return [_coerce(key, v, float) for v in value]
     try:
+        # JSON true is no number, though Python reads it as 1, and null is no path
+        if isinstance(value, bool) or (target is str and not isinstance(value, str)):
+            raise ValueError
+        if target is str:
+            return value
         if isinstance(target, tuple):
             if str(value) not in target:
                 raise ValueError
@@ -206,7 +211,7 @@ def _read_config_file(path: str, keys: dict) -> dict:
         if canonical in keys:
             out[canonical] = _coerce(key, value, _FLAGS[canonical][0])
         elif canonical in _COMMON_KEYS:
-            out[canonical] = str(value)
+            out[canonical] = _coerce(key, value, _COMMON_KEYS[canonical])
         else:
             raise _UsageError(f"unknown config key: {key}")
     return out
@@ -287,9 +292,9 @@ def _cmd_criteria(params: dict) -> tuple[list[dict], bool]:
         if separation is not None:
             pair = make_params(mass, width, separation, 1.0)
             record["damping_time"] = damping_time(pair, th)
-            record["damping_time_short"] = damping_time_short(
-                pair, threshold=th.variance_threshold
-            )
+            short = damping_time_short(pair, threshold=th.variance_threshold)
+            # inf at R = 0, where the pair never decoheres: emitted as null
+            record["damping_time_short"] = short if math.isfinite(short) else None
     if density is not None:
         if density <= 0 or not math.isfinite(density):
             raise _UsageError(f"invalid value for density: {density}")

@@ -15,8 +15,9 @@ convention-free, and the defaults here fix the conventions explicitly.
 
 Both roots solve DeltaPhi^2 = threshold along a line on which the variance
 rises from 0 (tau for the damping time, tau = rho^2 for L_c) with one scan:
-the point grows eightfold, clamped at a cap, until the sign changes, and
-Brent's method refines that bracket from the end values the scan has. The
+the point grows eightfold, clamped at a cap, until the sign changes (or
+shrinks eightfold, if the root lies below the first point), and Brent's
+method refines that bracket from the end values the scan has. The
 scan raises BracketError if the sign has not changed at the cap; the
 damping time checks its cap first and returns the cap as a sentinel.
 """
@@ -158,7 +159,12 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 1e-10,
 
 
 def _root(f, hi: float, cap: float, what: str) -> float:
-    """Root of an increasing f with f(0) < 0, scanning hi, 8 hi, ... up to cap."""
+    """Root of an increasing f with f(0) < 0, scanning hi, 8 hi, ... up to cap.
+
+    A root below the first point is bracketed by scanning hi/8, hi/64, ...
+    down instead, and solved to a tolerance relative to the bracket, which
+    an absolute one would exceed at a small enough root.
+    """
     lo, f_lo = 0.0, f(0.0)
     f_hi = f(hi)
     while f_hi < 0.0:
@@ -167,7 +173,14 @@ def _root(f, hi: float, cap: float, what: str) -> float:
         lo, f_lo = hi, f_hi
         hi = min(hi * 8.0, cap)
         f_hi = f(hi)
-    return _brentq(f, lo, hi, fa=f_lo, fb=f_hi)
+    if lo > 0.0:
+        return _brentq(f, lo, hi, fa=f_lo, fb=f_hi)
+    lo, f_lo = hi / 8.0, f(hi / 8.0)
+    while f_lo >= 0.0:
+        hi, f_hi = lo, f_lo
+        lo /= 8.0
+        f_lo = f(lo)
+    return _brentq(f, lo, hi, xtol=2e-12 * lo, fa=f_lo, fb=f_hi)
 
 
 def _total(mu: float, rho: float, tau: float) -> float:
@@ -251,8 +264,9 @@ def critical_length(
     Also evaluates the closed-form asymptote for the applicable regime
     (macro a^(3/4) law for mu >= 1, micro a^(1/2) law otherwise).
     """
-    if m <= 0 or a <= 0:
-        raise ValueError("m and a must be positive")
+    for name, value in (("mass m", m), ("width a", a)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     mu = coupling(m, a, constants)
     target = th.variance_threshold
     g = lambda rho: _total(mu, rho, rho * rho) - target

@@ -398,3 +398,63 @@ def test_covariance_empty_separations_is_usage_error(capsys):
                 "--separations", ","]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: need at least one separation\n")
+
+
+_CRITERIA = {"mass": 1e-14, "width": 1e-7}
+
+
+@pytest.mark.parametrize("config, key", [
+    ({**_CRITERIA, "output": None}, "output"),
+    ({**_CRITERIA, "output": ["a"]}, "output"),
+    ({**_CRITERIA, "format": 1}, "format"),
+    ({"samples": 10**4, "seed": True}, "seed"),
+    ({**_CRITERIA, "mass": True}, "mass"),
+    ({**_CRITERIA, "separation": False}, "separation"),
+])
+def test_json_config_rejects_wrong_types(config, key, tmp_path, monkeypatch, capsys):
+    # JSON null, lists and numbers are no path or format, and JSON true is
+    # no number, though Python's str() and float() accept them all
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    command = "oracle" if "samples" in config else "criteria"
+    assert run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"'{key}'" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+def test_json_config_rejects_boolean_separations(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"separations": [0.1, True]}))
+    assert run(["covariance", "--grid-n", "32", "--realizations", "100",
+                "--config", str(cfg)]) == 2
+    assert "'separations'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, empty", [("json", "null"), ("csv", "")])
+def test_criteria_zero_separation_emits_no_short_time(fmt, empty, capsys):
+    # coincident packets never decohere: damping_time_short is inf by contract
+    argv = ["criteria", "--mass", "1e-14", "--width", "1e-7", "--separation", "0",
+            "--format", fmt]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)[0]["damping_time_short"] is None
+    else:
+        assert next(csv.DictReader(io.StringIO(out)))["damping_time_short"] == empty
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["criteria", "--mass", "nan", "--width", "1e-7"], "mass"),
+    (["criteria", "--mass", "1e-17", "--width", "inf"], "width"),
+    (["criteria", "--mass", "inf", "--width", "1e-7", "--separation", "1e-6"], "mass"),
+    (["sweep", "--param", "separation", "--start", "1e-7", "--stop", "1e-6", "--num", "2",
+      "--mass", "nan", "--width", "1e-7"], "mass"),
+    (["sweep", "--param", "mass", "--start", "1e-17", "--stop", "1e-16", "--num", "2",
+      "--width", "inf"], "width"),
+])
+def test_non_finite_mass_or_width_is_usage_error(argv, field, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err

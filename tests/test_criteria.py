@@ -330,3 +330,32 @@ def test_critical_length_root_between_last_scan_point_and_cap():
     assert 5.5e99 < rho_c <= 1e100
     d = DimensionlessParams(mu=coupling(m, a), rho=rho_c, tau_max=rho_c**2)
     assert math.isclose(phase_variance(d).total, math.pi**2, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("mu", [1e14, 6e14, 1e21, 6e50, 1e100])
+def test_damping_time_below_first_scan_point(mu):
+    # the root lies far below tau = 1, deep in the linear regime, where the
+    # root-found time is the closed form at the same threshold
+    a = 1e-6
+    m = _mass_for_mu(mu, a)
+    p = make_params(m, a, 10.0 * a, 1.0)
+    t_short = damping_time_short(p, threshold=math.pi**2)
+    assert math.isclose(damping_time(p), t_short, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("mu", [6e34, 6e50])
+def test_critical_length_below_first_scan_point(mu):
+    # rho_c ~ 2.47 mu^(-1/4) lies below the first scan point mu^(-1/4)
+    a = 1e-6
+    m = _mass_for_mu(mu, a)
+    rho_c = critical_length(m, a).l_c / a
+    d = DimensionlessParams(mu=coupling(m, a), rho=rho_c, tau_max=rho_c**2)
+    assert math.isclose(phase_variance(d).total, math.pi**2, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("m, a", [(math.nan, 1e-7), (1e-17, math.inf), (math.inf, 1e-7),
+                                  (1e-17, -1e-7)])
+def test_critical_length_rejects_non_finite_inputs(m, a):
+    field = "mass" if not 0 < m < math.inf else "width"
+    with pytest.raises(ValueError, match=field):
+        critical_length(m, a)
