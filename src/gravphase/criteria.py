@@ -183,6 +183,13 @@ def _root(f, hi: float, cap: float, what: str) -> float:
     return _brentq(f, lo, hi, xtol=2e-12 * lo, fa=f_lo, fb=f_hi)
 
 
+def _check_positive(**values: float) -> None:
+    """ValueError naming the first value that is not positive and finite."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _total(mu: float, rho: float, tau: float) -> float:
     # bracket scans start at tau = 0 or rho = 0, where the variance is 0
     if rho == 0.0 or tau == 0.0:
@@ -264,9 +271,7 @@ def critical_length(
     Also evaluates the closed-form asymptote for the applicable regime
     (macro a^(3/4) law for mu >= 1, micro a^(1/2) law otherwise).
     """
-    for name, value in (("mass m", m), ("width a", a)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _check_positive(mass=m, width=a)
     mu = coupling(m, a, constants)
     target = th.variance_threshold
     g = lambda rho: _total(mu, rho, rho * rho) - target
@@ -328,8 +333,10 @@ def classify(
     m = critical_mass(density) when a is derived from the density, and
     defines the Boundary verdict within ``band`` of 1.
     """
+    _check_positive(mass=m, density=density)
     if a is None:
         a = width_from_density(m, density)
+    _check_positive(width=a)
     ratio, _ = _asymptotic_ratio(coupling(m, a, constants))
     if abs(ratio - 1.0) <= band:
         return Regime.BOUNDARY

@@ -458,3 +458,10 @@ def test_non_finite_mass_or_width_is_usage_error(argv, field, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf", "-1", "0"])
+def test_criteria_regime_rejects_bad_mass(mass, capsys):
+    # the density-only path derives the width from the mass
+    assert run(["criteria", "--mass", mass, "--density", "2200"]) == 2
+    assert capsys.readouterr().err.startswith("error: mass")
