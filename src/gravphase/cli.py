@@ -296,8 +296,6 @@ def _cmd_criteria(params: dict) -> tuple[list[dict], bool]:
             # inf at R = 0, where the pair never decoheres: emitted as null
             record["damping_time_short"] = short if math.isfinite(short) else None
     if density is not None:
-        if density <= 0 or not math.isfinite(density):
-            raise _UsageError(f"invalid value for density: {density}")
         record["critical_mass"] = critical_mass(density)
         if mass is not None:
             record["regime"] = classify(mass, density, a=width).value

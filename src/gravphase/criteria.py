@@ -307,8 +307,7 @@ def critical_mass(density: float, constants: PhysicalConstants = CODATA2018) -> 
 
     about 1e-17 kg at 1000 kg/m^3. Scales as rho_d^(1/10).
     """
-    if density <= 0 or not math.isfinite(density):
-        raise ValueError(f"density must be positive, got {density}")
+    _check_positive(density=density)
     return (
         constants.hbar**2 * (4.0 * math.pi * density / 3.0) ** (1.0 / 3.0) / constants.G
     ) ** 0.3
@@ -333,8 +332,9 @@ def classify(
     m = critical_mass(density) when a is derived from the density, and
     defines the Boundary verdict within ``band`` of 1.
     """
-    _check_positive(mass=m, density=density)
+    _check_positive(mass=m)
     if a is None:
+        _check_positive(density=density)
         a = width_from_density(m, density)
     _check_positive(width=a)
     ratio, _ = _asymptotic_ratio(coupling(m, a, constants))

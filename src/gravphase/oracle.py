@@ -3,10 +3,12 @@
 Every closed form used by the analytic pipeline is re-derived here by an
 independent route: the double-Gaussian Coulomb integrals by importance
 sampling (the Gaussian densities are exact sampling distributions, leaving
-only the bounded-variance 1/|z' - z''| factor to average; z' - z'' is
-itself Gaussian, so each sample is one normal 3-vector), the
-deterministic self-gravity cancellation by translation invariance plus MC,
-and the key error-function integral identity by direct quadrature.
+only the bounded-variance 1/|z' - z''| factor to average; z' and z''
+have per-axis variance C1/2, so z' - z'' is one Gaussian of per-axis
+variance C1 and each sample is one normal 3-vector u, scaled by
+sqrt(C1)), the deterministic self-gravity cancellation by translation
+invariance plus MC, and the key error-function integral identity by
+direct quadrature.
 
 Reproducibility contract: every estimator draws from counter-based Philox
 streams keyed by (seed, domain tag) with the batch index in the counter
@@ -152,13 +154,10 @@ def _inv_distance_batch(
 ) -> list[tuple[float, float]]:
     """Sum and sum-of-squares of 1/|scale u - shift e_x| over one batch, per point.
 
-    u is drawn as ``count`` standard normal 3-vectors, 3 normals per sample.
-    For i4 and i6, scale u is z' - z'': two independent Gaussians of
-    per-axis variance C1/2 differ by one of variance C1, so scale =
-    sqrt(C1); for the single-density streams scale = sqrt(C1/2) and shift
-    is 0. Samples closer than _REDRAW_FLOOR scale are redrawn from the same
-    stream: a probability-zero configuration that would otherwise overflow.
-    Which samples those are depends on the point, so each point that needs
+    u is ``count`` standard normal 3-vectors. Samples closer than
+    _REDRAW_FLOOR scale are redrawn from the same stream: a
+    probability-zero configuration that would otherwise overflow. Which
+    samples those are depends on the point, so each point that needs
     redraws continues the stream from where the shared draw left it,
     exactly as it would had it been drawn alone.
     """
@@ -203,10 +202,9 @@ def mc_i4_spatial(
     """Importance-sampled same-center integral, per unit kappa.
 
     Averages 1/|z' - z''| for z', z'' from the two (coincident) Gaussian
-    densities with per-axis variance C1/2, drawing their difference
-    directly as one Gaussian of per-axis variance C1; the closed form is
-    sqrt(2/pi)/sqrt(C1). A sequence of C1 values returns a list with one
-    estimate per value, all read off one shared draw.
+    densities with per-axis variance C1/2, sampled as sqrt(C1) u; the
+    closed form is sqrt(2/pi)/sqrt(C1). A sequence of C1 values returns a
+    list with one estimate per value, all read off one shared draw.
     """
     c1s, many = _check_mc_args(c1, n)
     ests = [
@@ -223,9 +221,8 @@ def mc_i6_spatial(
     """Importance-sampled cross integral, per unit kappa.
 
     z' lies around the origin and z'' around a center displaced by R, each
-    with per-axis variance C1/2, so z' - z'' is one Gaussian of per-axis
-    variance C1 centered at -R, drawn directly; the average of
-    -2/|z' - z''| has closed form -(2/R) erf(R/sqrt(2 C1)). A sequence of
+    with per-axis variance C1/2, sampled as sqrt(C1) u - R e_x; the average
+    of -2/|z' - z''| has closed form -(2/R) erf(R/sqrt(2 C1)). A sequence of
     R values returns a list with one estimate per value, all read off one
     shared draw.
     """

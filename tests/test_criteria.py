@@ -345,7 +345,8 @@ def test_damping_time_below_first_scan_point(mu):
 
 @pytest.mark.parametrize("mu", [6e34, 6e50])
 def test_critical_length_below_first_scan_point(mu):
-    # rho_c ~ 2.47 mu^(-1/4) lies below the first scan point mu^(-1/4)
+    # rho_c ~ 2.47 mu^(-1/4) lies far below the first scan point
+    # max(mu^(-1/4), 1e-3) = 1e-3
     a = 1e-6
     m = _mass_for_mu(mu, a)
     rho_c = critical_length(m, a).l_c / a
@@ -359,3 +360,16 @@ def test_critical_length_rejects_non_finite_inputs(m, a):
     field = "mass" if not 0 < m < math.inf else "width"
     with pytest.raises(ValueError, match=field):
         critical_length(m, a)
+
+
+@pytest.mark.parametrize("density", [0.0, -1.0, math.nan, math.inf])
+def test_classify_given_width_ignores_density(density):
+    # with the width given, the density is never used
+    m, a = 1e-17, 1e-7
+    assert classify(m, density, a=a) is classify(m, 1000.0, a=a)
+
+
+@pytest.mark.parametrize("density", [0.0, -1.0, math.nan, math.inf])
+def test_classify_derived_width_rejects_bad_density(density):
+    with pytest.raises(ValueError, match="density"):
+        classify(1e-17, density)

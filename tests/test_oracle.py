@@ -194,3 +194,17 @@ def test_persistent_scratch_leaves_no_trace(workers, monkeypatch):
             monkeypatch.setattr(oracle, "_scratch", threading.local())
             fresh.append(call(n))
         assert reused == fresh
+
+
+@pytest.mark.parametrize("estimate, target", [
+    (lambda seed: mc_i4_spatial(0.25, 2 * N_FAST, seed, workers=1), i4_closed_form(0.25)),
+    (lambda seed: mc_i6_spatial(1.0, 1.0, 2 * N_FAST, seed, workers=1), i6_closed_form(1.0, 1.0)),
+], ids=["i4", "i6"])
+def test_mc_pulls_across_seeds_are_standard(estimate, target):
+    # (value - target) / SE over 200 independent seeds is centred, with unit
+    # spread: the reported standard error is calibrated
+    pulls = [(e.value - target) / e.standard_error for e in map(estimate, range(200))]
+    mean = math.fsum(pulls) / len(pulls)
+    sd = math.sqrt(math.fsum((p - mean) ** 2 for p in pulls) / (len(pulls) - 1))
+    assert abs(mean) < 4.0 / math.sqrt(len(pulls))
+    assert 0.8 < sd < 1.2
