@@ -11,7 +11,13 @@ sampled noise-field realizations on a periodic grid.
 All physics lives in the dimensionless triple mu = G m^3 a / hbar^2,
 rho = R / a, tau = hbar t / (m a^2); the units module maps SI inputs in
 and out of it.
+
+The scalar path (units, variance, criteria) is pure ``math``. The
+noisefield, oracle and packets names are imported on first access
+(PEP 562), so a process that never touches them never imports numpy.
 """
+
+import importlib
 
 from .criteria import (
     BracketError,
@@ -28,27 +34,6 @@ from .criteria import (
     decoherence_summary,
     width_from_density,
 )
-from .noisefield import (
-    ConfigurationError,
-    EnsembleStats,
-    FieldGrid,
-    measured_covariance,
-    min_box_length,
-    sample_field_step,
-    simulate_phase_variance,
-    smeared_potential,
-)
-from .oracle import (
-    CancellationReport,
-    McEstimate,
-    erf_identity_check,
-    i4_closed_form,
-    i6_closed_form,
-    mc_i4_spatial,
-    mc_i6_spatial,
-    sn_cancellation_check,
-)
-from .packets import GaussianPacket, density, self_potential_at_center
 from .units import (
     CODATA2018,
     NATURAL,
@@ -88,3 +73,27 @@ __all__ = [
     "measured_covariance", "smeared_potential", "simulate_phase_variance",
     "min_box_length",
 ]
+
+# name -> the module that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("ConfigurationError", "EnsembleStats", "FieldGrid",
+                     "measured_covariance", "min_box_length", "sample_field_step",
+                     "simulate_phase_variance", "smeared_potential"), "noisefield"),
+    **dict.fromkeys(("CancellationReport", "McEstimate", "erf_identity_check",
+                     "i4_closed_form", "i6_closed_form", "mc_i4_spatial",
+                     "mc_i6_spatial", "sn_cancellation_check"), "oracle"),
+    **dict.fromkeys(("GaussianPacket", "density", "self_potential_at_center"), "packets"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

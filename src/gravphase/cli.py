@@ -25,14 +25,13 @@ import argparse
 import contextlib
 import csv
 import functools
+import importlib
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __version__
 from .criteria import (
@@ -44,26 +43,41 @@ from .criteria import (
     damping_time,
     damping_time_short,
 )
-from .noisefield import (
-    FieldGrid,
-    measured_covariance,
-    min_box_length,
-    simulate_phase_variance,
-)
-from .oracle import (
-    erf_identity_check,
-    i4_closed_form,
-    i6_closed_form,
-    mc_i4_spatial,
-    mc_i6_spatial,
-    sn_cancellation_check,
-)
 from .units import (
     DimensionlessParams, coupling, make_params, nondimensionalize,
 )
 from .variance import phase_variance
 
 __all__ = ["RunConfig", "run", "parse_config", "emit", "console_entry"]
+
+# names the stochastic subcommands take from noisefield and oracle, which
+# import numpy: they are bound on first use, so the scalar subcommands
+# start without it
+_STOCHASTIC = {
+    **dict.fromkeys(("FieldGrid", "measured_covariance", "min_box_length",
+                     "simulate_phase_variance"), "noisefield"),
+    **dict.fromkeys(("erf_identity_check", "i4_closed_form", "i6_closed_form",
+                     "mc_i4_spatial", "mc_i6_spatial", "sn_cancellation_check"), "oracle"),
+}
+
+
+def _bind_stochastic() -> None:
+    """Bind every stochastic name into this module's globals.
+
+    A name that is already bound keeps its value, so a wrapper set on this
+    module before the first call (a tracer's, a test's) stays in place.
+    """
+    g = globals()
+    for name, module in _STOCHASTIC.items():
+        g.setdefault(name, getattr(importlib.import_module(f".{module}", __package__), name))
+
+
+def __getattr__(name: str):
+    # getattr(cli, name) before the name's first use, as a wrapper does
+    if name in _STOCHASTIC:
+        _bind_stochastic()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(ValueError):
@@ -320,6 +334,8 @@ def _cmd_sweep(params: dict) -> tuple[list[dict], bool]:
         raise _UsageError(f"invalid value for num: {num} (need >= 2)")
     th = Threshold(variance_threshold=params["threshold"])
     fixed = {k: params.get(k) for k in ("mass", "width", "separation")}
+    import numpy as np  # here, so variance and criteria start without it
+
     records = []
     lengths: dict = {}  # one critical_length per distinct (mass, width)
     for value in np.geomspace(start, stop, num):
@@ -362,6 +378,7 @@ def _mc_row(check: str, value: float, se: float, target: float, **kw) -> dict:
 
 
 def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
+    _bind_stochastic()
     n, seed, workers = params["samples"], params["seed"], params.get("workers")
     # the deterministic terms cancel exactly: target 0, so the bound is 3 SE
     rep = sn_cancellation_check(1.0, 1.0, n, seed, workers=workers)
@@ -387,6 +404,7 @@ def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
 
 
 def _cmd_covariance(params: dict) -> tuple[list[dict], bool]:
+    _bind_stochastic()
     grid = FieldGrid(
         n=params["grid_n"], box_length=params["box"], dt=params["dt"],
         n_steps=1, seed=params["seed"],
@@ -414,6 +432,7 @@ def _cmd_covariance(params: dict) -> tuple[list[dict], bool]:
 
 
 def _cmd_simulate(params: dict) -> tuple[list[dict], bool]:
+    _bind_stochastic()
     m, a, R, T = _need(params, ("mass", "width", "separation", "horizon"), "simulate")
     pair = make_params(m, a, R, T)
     box = params.get("box")
@@ -477,7 +496,8 @@ def _fmt_float(v: float) -> str:
 
 def _scalar(v, csv_cell: bool) -> str:
     """One value as a CSV cell or a JSON literal."""
-    if isinstance(v, np.generic):
+    np = sys.modules.get("numpy")  # a numpy scalar implies numpy is loaded
+    if np is not None and isinstance(v, np.generic):
         v = v.item()
     if v is None:
         return "" if csv_cell else "null"

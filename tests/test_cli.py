@@ -358,17 +358,131 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cli_runs_without_scipy():
+def _run_script(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout's gravphase."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(gravphase.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+    res = subprocess.run([sys.executable, "-c", script],
                          env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "[]"
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+def test_cli_runs_without_scipy():
+    assert _run_script(_NO_SCIPY_SCRIPT) == "[]"
+
+
+_SCALAR_SCRIPT = """
+import contextlib, io, sys
+import gravphase, gravphase.cli as cli, gravphase.criteria
+loaded = ["numpy" in sys.modules]
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+# the README's variance and criteria commands
+_README_SCALAR = [
+    ["variance", "--mu", "1", "--rho", "1", "--tau-max", "3"],
+    ["variance", "--mass", "1e-17", "--width", "1e-7", "--separation", "5e-7",
+     "--horizon", "1", "--format", "json"],
+    ["criteria", "--mass", "1e-14", "--width", "1e-7", "--separation", "1e-6",
+     "--density", "2200"],
+]
+
+
+def test_scalar_commands_never_import_numpy():
+    # the scalar path is pure math; numpy's import is most of a process's start
+    assert _run_script(_SCALAR_SCRIPT % (_README_SCALAR,)) == "[False, False, False, False]"
+
+
+def test_sweep_and_oracle_load_numpy_on_first_use():
+    argvs = [["sweep", "--param", "mass", "--start", "1e-16", "--stop", "1e-14",
+              "--num", "3", "--width", "1e-7"],
+             ["oracle", "--samples", "10000", "--workers", "1"]]
+    assert _run_script(_SCALAR_SCRIPT % (argvs,)) == "[False, True, True]"
+
+
+_LAZY_SURFACE_SCRIPT = """
+import importlib, sys
+import gravphase
+assert set(gravphase.__all__) <= set(dir(gravphase)), "dir misses a lazy name"
+assert "numpy" not in sys.modules
+ns = {}
+exec("from gravphase import *", ns)
+owner = {}
+for mod in ("units", "packets", "variance", "criteria", "oracle", "noisefield"):
+    m = importlib.import_module("gravphase." + mod)
+    for name in m.__all__:
+        owner.setdefault(name, []).append(m)
+for name in gravphase.__all__:
+    if name == "__version__":
+        continue
+    (m,) = owner[name]
+    assert ns[name] is getattr(m, name) is getattr(gravphase, name), name
+print(sorted(set(gravphase.__all__) - set(ns)))
+"""
+
+
+def test_lazy_package_surface():
+    # a fresh process, so dir and the star import meet the names unresolved
+    assert _run_script(_LAZY_SURFACE_SCRIPT) == "[]"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gravphase.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gravphase.cli.no_such_name
+
+
+# wraps each name the way perfbench's tracer does (getattr, then setattr on
+# gravphase.cli) before any stochastic call, which must still reach them
+_TRACER_SCRIPT = """
+import contextlib, io
+import gravphase.cli as cli
+names = ["simulate_phase_variance", "measured_covariance", "mc_i4_spatial",
+         "mc_i6_spatial", "sn_cancellation_check", "erf_identity_check"]
+calls = dict.fromkeys(names, 0)
+
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in names:
+    setattr(cli, name, counting(name, getattr(cli, name)))
+argvs = [
+    ["oracle", "--samples", "10000", "--workers", "1"],
+    ["covariance", "--grid-n", "32", "--realizations", "100"],
+    ["simulate", "--mass", "5.5028e-18", "--width", "1e-6", "--separation", "1e-6",
+     "--horizon", "2.609e4", "--grid-n", "32", "--steps", "1", "--members", "64",
+     "--workers", "1"],
+]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) in (0, 1), argv
+print(sorted(name for name, n in calls.items() if n == 0))
+"""
+
+
+def test_wrappers_set_before_first_use_are_called():
+    assert _run_script(_TRACER_SCRIPT) == "[]"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_numpy_scalars_as_python_values(fmt, tmp_path):
+    import numpy as np
+
+    paths = tmp_path / "np.out", tmp_path / "py.out"
+    emit([{"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True)}], fmt, str(paths[0]))
+    emit([{"x": 0.1, "n": 3, "ok": True}], fmt, str(paths[1]))
+    assert paths[0].read_text() == paths[1].read_text()
 
 
 def test_oracle_rows_equal_single_calls(capsys):
