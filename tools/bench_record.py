@@ -11,8 +11,9 @@ there. A record holds:
   (the last JSON line of each)
 - the tier-1 suite: wall time, its summary line and the durations of the
   two acceptance tests c11 and c12
-- the median wall time of each command in the README's command-line
-  block, over seven fresh processes
+- the median wall time, over seven fresh processes, of
+  ``python -c "import gravphase.cli"`` (the start-up every command pays)
+  and of each command in the README's command-line block
 - nproc, the CPUs in the affinity mask and ``GRAVPHASE_THREADS``, which
   together set the worker count of every call without ``--workers``, the
   Python, numpy and scipy versions, and ``git describe``
@@ -90,17 +91,24 @@ def readme_commands(repo: Path) -> list[list[str]]:
             if line.strip().startswith("gravphase ")]
 
 
+def _median_wall(args: list[str], repo: Path) -> float:
+    """Median wall time of ``python <args>`` over CLI_RUNS fresh processes."""
+    times = []
+    for _ in range(CLI_RUNS):
+        proc, wall = _run([sys.executable, *args], repo, timeout=600)
+        if proc.returncode not in (0, 1):
+            raise RuntimeError(f"python {shlex.join(args)} exited {proc.returncode}: "
+                               f"{proc.stderr[-2000:]}")
+        times.append(wall)
+    return statistics.median(times)
+
+
 def cli(repo: Path) -> dict:
-    medians = {}
+    # the import alone is the start-up every command pays
+    startup = ["-c", "import gravphase.cli"]
+    medians = {"python " + shlex.join(startup): _median_wall(startup, repo)}
     for argv in readme_commands(repo):
-        times = []
-        for _ in range(CLI_RUNS):
-            proc, wall = _run([sys.executable, "-m", "gravphase", *argv], repo, timeout=600)
-            if proc.returncode not in (0, 1):
-                raise RuntimeError(f"gravphase {shlex.join(argv)} exited {proc.returncode}: "
-                                   f"{proc.stderr[-2000:]}")
-            times.append(wall)
-        medians["gravphase " + shlex.join(argv)] = statistics.median(times)
+        medians["gravphase " + shlex.join(argv)] = _median_wall(["-m", "gravphase", *argv], repo)
     return {"runs": CLI_RUNS, "median_s": medians}
 
 
