@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import importlib
 import io
 import json
 import math
@@ -51,14 +50,13 @@ from .variance import phase_variance
 __all__ = ["RunConfig", "run", "parse_config", "emit", "console_entry"]
 
 # names the stochastic subcommands take from noisefield and oracle, which
-# import numpy: they are bound on first use, so the scalar subcommands
-# start without it
-_STOCHASTIC = {
-    **dict.fromkeys(("FieldGrid", "measured_covariance", "min_box_length",
-                     "simulate_phase_variance"), "noisefield"),
-    **dict.fromkeys(("erf_identity_check", "i4_closed_form", "i6_closed_form",
-                     "mc_i4_spatial", "mc_i6_spatial", "sn_cancellation_check"), "oracle"),
-}
+# import numpy: they are bound from the package, which imports them on
+# first access, so the scalar subcommands start without numpy
+_STOCHASTIC = (
+    "FieldGrid", "measured_covariance", "min_box_length", "simulate_phase_variance",
+    "erf_identity_check", "i4_closed_form", "i6_closed_form", "mc_i4_spatial",
+    "mc_i6_spatial", "sn_cancellation_check",
+)
 
 
 def _bind_stochastic() -> None:
@@ -67,9 +65,9 @@ def _bind_stochastic() -> None:
     A name that is already bound keeps its value, so a wrapper set on this
     module before the first call (a tracer's, a test's) stays in place.
     """
-    g = globals()
-    for name, module in _STOCHASTIC.items():
-        g.setdefault(name, getattr(importlib.import_module(f".{module}", __package__), name))
+    package, g = sys.modules[__package__], globals()
+    for name in _STOCHASTIC:
+        g.setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str):
