@@ -322,6 +322,21 @@ def _length_fields(clr) -> dict:
     }
 
 
+def _geomspace(start: float, stop: float, num: int) -> list[float]:
+    """num points from start to stop in geometric progression, both ends exact.
+
+    numpy.geomspace's recipe (y = i step + log10(start), then 10**y) in
+    plain math, so a sweep starts without numpy. An interior point may
+    differ from numpy's in its last bits, where numpy's log10 or power
+    rounds differently from the C library's.
+    """
+    lo = math.log10(start)
+    step = (math.log10(stop) - lo) / (num - 1)
+    grid = [10.0 ** (i * step + lo) for i in range(num)]
+    grid[0], grid[-1] = start, stop
+    return grid
+
+
 def _cmd_sweep(params: dict) -> tuple[list[dict], bool]:
     param, start, stop, num = _need(params, ("param", "start", "stop", "num"), "sweep")
     if params.get(param) is not None:
@@ -332,13 +347,11 @@ def _cmd_sweep(params: dict) -> tuple[list[dict], bool]:
         raise _UsageError(f"invalid value for num: {num} (need >= 2)")
     th = Threshold(variance_threshold=params["threshold"])
     fixed = {k: params.get(k) for k in ("mass", "width", "separation")}
-    import numpy as np  # here, so variance and criteria start without it
-
     records = []
     lengths: dict = {}  # one critical_length per distinct (mass, width)
-    for value in np.geomspace(start, stop, num):
+    for value in _geomspace(start, stop, num):
         point = dict(fixed)
-        point[param] = float(value)
+        point[param] = value
         mass, width, separation = point["mass"], point["width"], point["separation"]
         if mass is None or width is None:
             raise _UsageError("sweep requires mass and width (swept or fixed)")

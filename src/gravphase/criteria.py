@@ -13,13 +13,20 @@ All order-one constants (the threshold, the constant in t_q) are
 conventions; only scaling exponents and the mu = 1 boundary are
 convention-free, and the defaults here fix the conventions explicitly.
 
-Both roots solve DeltaPhi^2 = threshold along a line on which the variance
-rises from 0 (tau for the damping time, tau = rho^2 for L_c) with one scan:
-the point grows eightfold, clamped at a cap, until the sign changes (or
-shrinks eightfold, if the root lies below the first point), and Brent's
-method refines that bracket from the end values the scan has. The
-scan raises BracketError if the sign has not changed at the cap; the
-damping time checks its cap first and returns the cap as a sentinel.
+The micro a^(1/2) law is not the mu -> 0 behaviour of the full model. The
+variance saturates like mu ln(rho) at large rho, so rho_c = L_c / a grows
+like exp(1/mu), and from rho_c = 1e6 up (mu <~ 0.46 at the pi^2
+threshold) critical_length returns the root of that logarithmic law in
+closed form, as accurate there as the root finder.
+
+Every other root solves DeltaPhi^2 = threshold along a line on which the
+variance rises from 0 (tau for the damping time, tau = rho^2 for L_c) with
+one scan: the point grows eightfold, clamped at a cap, until the sign
+changes (or shrinks eightfold, if the root lies below the first point),
+and Brent's method refines that bracket from the end values the scan has.
+The scan raises BracketError if the sign has not changed at the cap (for
+L_c, rho = 1e100, which the closed form honours too); the damping time
+checks its cap first and returns the cap as a sentinel.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ __all__ = [
 # beyond this horizon the pair is reported as simply not decohering
 T_CAP_DEFAULT = 1e18  # s
 
+# critical length: a root past _RHO_CAP is reported as not bracketable, and
+# from _RHO_CLOSED_FORM up the large-rho law answers (see critical_length)
+_RHO_CAP = 1e100
+_RHO_CLOSED_FORM = 1e6
+_EULER_GAMMA = 0.57721566490153286
+
 
 class Regime(enum.Enum):
     QUANTUM = "Quantum"
@@ -64,6 +77,7 @@ class Method(enum.Enum):
     FULL_QUADRATURE = "FullQuadrature"
     MACRO_ASYMPTOTIC = "MacroAsymptotic"
     MICRO_ASYMPTOTIC = "MicroAsymptotic"
+    MICRO_CLOSED_FORM = "MicroClosedForm"
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,7 @@ class Threshold:
 
 @dataclass(frozen=True)
 class CriticalLengthResult:
-    """Root-found critical length plus the applicable closed-form asymptote."""
+    """Critical length, how it was found, and the applicable asymptotic law."""
 
     l_c: float
     method: Method
@@ -266,23 +280,43 @@ def critical_length(
     In dimensionless variables t_q corresponds to tau = rho^2, so the
     defining condition T(L_c) = t_q(L_c) becomes the single equation
     DeltaPhi^2(mu, rho, tau = rho^2) = threshold, whose left side is
-    strictly increasing in rho. Solved by geometric bracketing plus Brent.
+    strictly increasing in rho, i.e. F(rho, rho^2) = threshold / mu.
 
-    Also evaluates the closed-form asymptote for the applicable regime
-    (macro a^(3/4) law for mu >= 1, micro a^(1/2) law otherwise).
+    At large rho, F(rho, rho^2) = sqrt(2/pi) (2 ln rho + gamma + ln 2 - 2)
+    + O(rho^-2), gamma being Euler's constant, so
+
+        ln rho_c = threshold / (2 sqrt(2/pi) mu) + 1 - (gamma + ln 2) / 2.
+
+    Where that gives rho_c >= 1e6 (mu <~ 0.46 at the pi^2 threshold) the
+    neglected term moves rho_c by at most 4e-13 relative, inside the root
+    finder's tolerance, and the root is returned from the formula with no
+    quadrature (Method.MICRO_CLOSED_FORM). Below that, the
+    root is found by geometric bracketing plus Brent (FULL_QUADRATURE).
+    Either way a root beyond rho = 1e100 raises BracketError.
+
+    Also evaluates the asymptotic law for the applicable regime (macro
+    a^(3/4) law for mu >= 1, micro a^(1/2) law otherwise). The micro law
+    is not the mu -> 0 limit of the root, which grows like exp(1/mu).
     """
     _check_positive(mass=m, width=a)
     mu = coupling(m, a, constants)
     target = th.variance_threshold
-    g = lambda rho: _total(mu, rho, rho * rho) - target
-    # the variance saturates like mu log(rho) at large rho, so deep in the
-    # micro regime the root can sit at astronomically large rho or not
-    # exist at double precision at all; cap the scan and report it
-    rho_c = _root(g, max(mu**-0.25, 1e-3), 1e100, "critical length")
+    ln_rho_c = (target / (2.0 * math.sqrt(2.0 / math.pi) * mu)
+                + 1.0 - (_EULER_GAMMA + math.log(2.0)) / 2.0)
+    if ln_rho_c >= math.log(_RHO_CLOSED_FORM):
+        if ln_rho_c > math.log(_RHO_CAP):
+            raise BracketError("critical length root not bracketable",
+                               _RHO_CLOSED_FORM, _RHO_CAP)
+        rho_c = math.exp(ln_rho_c)
+        method = Method.MICRO_CLOSED_FORM
+    else:
+        g = lambda rho: _total(mu, rho, rho * rho) - target
+        rho_c = _root(g, max(mu**-0.25, 1e-3), _RHO_CAP, "critical length")
+        method = Method.FULL_QUADRATURE
     ratio, asym_method = _asymptotic_ratio(mu)
     return CriticalLengthResult(
         l_c=rho_c * a,
-        method=Method.FULL_QUADRATURE,
+        method=method,
         asymptote=a * ratio,
         asymptote_method=asym_method,
     )

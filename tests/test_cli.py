@@ -6,7 +6,7 @@ import math
 import pytest
 
 import gravphase
-from gravphase.cli import _mc_row, emit, run
+from gravphase.cli import _geomspace, _mc_row, emit, run
 from gravphase.oracle import i4_closed_form, i6_closed_form, mc_i4_spatial, mc_i6_spatial
 from gravphase.units import DimensionlessParams
 from gravphase.variance import phase_variance
@@ -398,16 +398,44 @@ _README_SCALAR = [
 ]
 
 
+_SWEEP = ["sweep", "--param", "mass", "--start", "1e-16", "--stop", "1e-14",
+          "--num", "3", "--width", "1e-7"]
+
+
 def test_scalar_commands_never_import_numpy():
     # the scalar path is pure math; numpy's import is most of a process's start
-    assert _run_script(_SCALAR_SCRIPT % (_README_SCALAR,)) == "[False, False, False, False]"
+    out = _run_script(_SCALAR_SCRIPT % ([*_README_SCALAR, _SWEEP],))
+    assert out == "[False, False, False, False, False]"
 
 
-def test_sweep_and_oracle_load_numpy_on_first_use():
-    argvs = [["sweep", "--param", "mass", "--start", "1e-16", "--stop", "1e-14",
-              "--num", "3", "--width", "1e-7"],
-             ["oracle", "--samples", "10000", "--workers", "1"]]
-    assert _run_script(_SCALAR_SCRIPT % (argvs,)) == "[False, True, True]"
+def test_oracle_loads_numpy_on_first_use():
+    argvs = [["oracle", "--samples", "10000", "--workers", "1"]]
+    assert _run_script(_SCALAR_SCRIPT % (argvs,)) == "[False, True]"
+
+
+@pytest.mark.parametrize("start, stop", [(1e-16, 1e-14), (1e-14, 1e-16), (3e-7, 3e-7),
+                                         (5e-324, 1.7e308)])
+def test_geomspace_exact_ends_and_two_points(start, stop):
+    assert _geomspace(start, stop, 2) == [start, stop]
+    grid = _geomspace(start, stop, 7)
+    assert len(grid) == 7 and grid[0] == start and grid[-1] == stop
+
+
+def test_geomspace_matches_numpy():
+    # numpy's recipe: 10 ** (i step + log10(start)). numpy's log10 may round
+    # the exponent y one ulp apart from math.log10, which moves 10**y by
+    # ln(10) |y| ulps, so the bound is 2 ulp of y plus 2 ulp of the point
+    import random
+
+    import numpy as np
+    rng = random.Random(14)
+    for _ in range(2000):
+        start, stop = 10 ** rng.uniform(-30, 30), 10 ** rng.uniform(-30, 30)
+        num = rng.randint(2, 40)
+        want = np.geomspace(start, stop, num)
+        for got, ref in zip(_geomspace(start, stop, num), want.tolist(), strict=True):
+            ulps = 2.0 * (1.0 + math.log(10.0) * abs(math.log10(ref)))
+            assert abs(got - ref) <= ulps * math.ulp(ref), (start, stop, num)
 
 
 _LAZY_SURFACE_SCRIPT = """

@@ -373,3 +373,108 @@ def test_classify_given_width_ignores_density(density):
 def test_classify_derived_width_rejects_bad_density(density):
     with pytest.raises(ValueError, match="density"):
         classify(1e-17, density)
+
+
+EULER_GAMMA = 0.57721566490153286
+
+
+def _closed_form_rho_c(mu):
+    # ln rho_c = pi^2 / (2 sqrt(2/pi) mu) + 1 - (gamma + ln 2) / 2
+    return math.exp(math.pi**2 / (2.0 * math.sqrt(2.0 / math.pi) * mu)
+                    + 1.0 - (EULER_GAMMA + math.log(2.0)) / 2.0)
+
+
+def _root_found_rho_c(mu):
+    # the scan plus Brent that critical_length runs where rho_c < 1e6
+    import gravphase.criteria as criteria
+
+    g = lambda rho: criteria._total(mu, rho, rho * rho) - math.pi**2
+    return criteria._root(g, max(mu**-0.25, 1e-3), 1e100, "critical length")
+
+
+def _mp_variance_on_diagonal(mu, rho):
+    """DeltaPhi^2(mu, rho, tau = rho^2) at 30 digits as i7 - i8, for rho >= 1e3.
+
+    i7 = (2 sqrt 2 / sqrt pi) mu asinh(tau) and
+    i8 = (2 mu / rho) int_0^asinh(tau) erf(rho / (sqrt 2 cosh u)) cosh u du;
+    below u_9, where the erf argument is at least 9, erf = 1 to 1e-36.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        mu, rho = mp.mpf(mu), mp.mpf(rho)
+        s2 = mp.sqrt(2)
+        u_max = mp.asinh(rho * rho)
+        i7 = 2 * s2 / mp.sqrt(mp.pi) * mu * u_max
+        u_9 = mp.acosh(rho / (9 * s2))
+        pts = [u_9, mp.acosh(rho / s2), mp.acosh(10 * rho / s2), u_max]
+        tail = mp.quad(lambda u: mp.erf(rho / (s2 * mp.cosh(u))) * mp.cosh(u), pts)
+        return i7 - 2 * mu / rho * (mp.sinh(u_9) + tail)
+
+
+@pytest.mark.parametrize("mu", [0.4598, 0.3, 0.1, 0.05, 0.03])
+def test_critical_length_closed_form_meets_threshold(mu):
+    # mu = 0.46 itself lies just above the crossover (rho_c = 0.995e6)
+    a = 1e-6
+    m = _mass_for_mu(mu, a)
+    clr = critical_length(m, a)
+    assert clr.method is Method.MICRO_CLOSED_FORM
+    rho_c = clr.l_c / a
+    ref = _mp_variance_on_diagonal(coupling(m, a), rho_c)
+    assert abs(float(ref) - math.pi**2) <= 1e-12 * math.pi**2
+
+
+@pytest.mark.parametrize("mu", [0.4596, 0.4598, 0.45985, 0.4599, 0.46, 0.4605])
+def test_critical_length_closed_form_matches_root_finder_at_crossover(mu):
+    # the crossover rho_c = 1e6 sits at mu = 0.459822 for the pi^2 threshold
+    a = 1e-6
+    m = _mass_for_mu(mu, a)
+    mu = coupling(m, a)
+    closed, found = _closed_form_rho_c(mu), _root_found_rho_c(mu)
+    assert math.isclose(closed, found, rel_tol=1e-10)
+    clr = critical_length(m, a)
+    want = Method.MICRO_CLOSED_FORM if closed >= 1e6 else Method.FULL_QUADRATURE
+    assert clr.method is want
+    want_rho = closed if want is Method.MICRO_CLOSED_FORM else found
+    assert math.isclose(clr.l_c / a, want_rho, rel_tol=1e-15)
+
+
+def test_critical_length_monotone_in_mass_across_crossover():
+    a = 1e-6
+    rows = [critical_length(_mass_for_mu(0.459 + 2e-5 * i, a), a) for i in range(81)]
+    assert {r.method for r in rows} == {Method.MICRO_CLOSED_FORM, Method.FULL_QUADRATURE}
+    lengths = [r.l_c for r in rows]
+    assert all(l1 > l2 for l1, l2 in zip(lengths, lengths[1:]))
+
+
+@pytest.mark.parametrize("mu, threshold, method", [
+    (0.9, 2.0 * math.pi**2, Method.MICRO_CLOSED_FORM),  # rho_c = 1.4e6
+    (0.9, math.pi**2, Method.FULL_QUADRATURE),
+    (0.1, 1.0, Method.FULL_QUADRATURE),  # rho_c = 760
+    (0.02, 0.5 * math.pi**2, Method.MICRO_CLOSED_FORM),
+])
+def test_critical_length_branch_follows_threshold(mu, threshold, method):
+    a = 1e-6
+    m = _mass_for_mu(mu, a)
+    clr = critical_length(m, a, th=Threshold(variance_threshold=threshold))
+    assert clr.method is method
+    rho_c = clr.l_c / a
+    d = DimensionlessParams(mu=coupling(m, a), rho=rho_c, tau_max=rho_c**2)
+    assert math.isclose(phase_variance(d).total, threshold, rel_tol=1e-9)
+
+
+def test_critical_length_cap_unchanged_by_closed_form():
+    # rho_c = 1e100 at mu = 0.0269024...; a relative 1e-9 either side moves
+    # ln rho_c by 2.3e-7, which both the closed form and the scan resolve
+    a = 1e-6
+    mu_cap = math.pi**2 / (2.0 * math.sqrt(2.0 / math.pi)) / (
+        math.log(1e100) - 1.0 + (EULER_GAMMA + math.log(2.0)) / 2.0)
+    inside = _mass_for_mu(mu_cap * (1.0 + 1e-9), a)
+    rho_c = critical_length(inside, a).l_c / a
+    assert 0.9999e100 < rho_c <= 1e100
+    assert math.isclose(rho_c, _root_found_rho_c(coupling(inside, a)), rel_tol=1e-10)
+    past = _mass_for_mu(mu_cap * (1.0 - 1e-9), a)
+    with pytest.raises(BracketError, match="critical length root not bracketable"):
+        _root_found_rho_c(coupling(past, a))
+    with pytest.raises(BracketError, match="critical length root not bracketable") as err:
+        critical_length(past, a)
+    assert err.value.scanned == (1e6, 1e100)

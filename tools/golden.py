@@ -53,6 +53,12 @@ CALLS = [
     ("covariance", "--grid-n", "32", "--realizations", "100"),
     ("variance", "--config", "flat.cfg"),
     ("sweep", "--config", "sweep.json"),
+    # the micro critical length: closed form (mu = 0.1), root-found just above
+    # the crossover (mu = 0.5), and a sweep whose rows cross mu = 0.46
+    ("criteria", "--mass", "5.5e-18", "--width", "1e-7", "--separation", "1e-6"),
+    ("criteria", "--mass", "9.41e-18", "--width", "1e-7", "--separation", "1e-6"),
+    ("sweep", "--param", "mass", "--start", "6e-18", "--stop", "2e-17", "--num", "6",
+     "--width", "1e-7", "--separation", "1e-6"),
     # --help and --version
     ("--help",), ("--version",), *((cmd, "--help") for cmd in SUBCOMMANDS),
     # usage errors: exit 2
