@@ -35,12 +35,14 @@ three where beta = r sech u crosses 6 and 1/2:
   is r^2 int I(beta)/beta^2 dtheta over [atan2(1, tau_max), asin(1/2r)],
   a smooth integrand that a fixed 10-point rule integrates.
 
-Each piece is integrated again with a lower-order rule (24 and 6 points);
-the difference of the two, plus a rounding allowance, is the reported
-``quadrature_error_estimate``. For rho <= sqrt(2)/2 there is no beta > 1/2
-at all and the integral is evaluated from its rho^2 power series instead,
-which converges to machine precision and avoids the 0/0 in
-erf(rho ...)/rho.
+The total, i7 and i8 come from these rules alone. The reported
+``quadrature_error_estimate`` is their difference from lower-order rules
+(24 and 6 points) on the same pieces, plus a rounding allowance; the
+lower-order rules run only when the estimate is read, so root finders,
+which read the total, never pay for them. For rho <= sqrt(2)/2 there is
+no beta > 1/2 at all and the integral is evaluated from its rho^2 power
+series instead, which converges to machine precision and avoids the 0/0
+in erf(rho ...)/rho.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
 from .units import DimensionlessParams
@@ -76,9 +78,10 @@ _RHO_SERIES_MAX = math.sqrt(0.5)
 _BETA_ERF_ONE = 6.0
 _BETA_SMALL = 0.5
 
-# (nodes, lower-order nodes) per piece
-_U_RULES = (28, 24)
-_THETA_RULES = (10, 6)
+# (u nodes, theta nodes): the high-order rules give the total, the
+# lower-order ones only the error estimate
+_RULES = (28, 10)
+_LOW_RULES = (24, 6)
 
 # relative rounding allowance in the error estimate: the total sums a
 # few dozen positive terms, each good to a few ulp
@@ -90,13 +93,33 @@ class VarianceBreakdown:
     """I7, I8 and their difference, all dimensionless.
 
     The fields satisfy total = i7 - i8 exactly in floating point, with
-    total >= 0 and 0 <= i8 <= i7.
+    total >= 0 and 0 <= i8 <= i7. ``quadrature_error_estimate`` is worked
+    out on each read: the lower-order rules run then, against the
+    high-order sums kept in the private fields.
     """
 
     i7: float
     i8: float
     total: float
-    quadrature_error_estimate: float
+    # the point, and the high-order u and theta sums of the split (0.0 where
+    # no rule ran)
+    _mu: float = field(repr=False)
+    _rho: float = field(repr=False)
+    _tau_max: float = field(repr=False)
+    _mid: float = field(repr=False)
+    _tail: float = field(repr=False)
+
+    @property
+    def quadrature_error_estimate(self) -> float:
+        """Estimated absolute quadrature error of ``total``."""
+        rounding = _ROUNDING * abs(self.total)
+        if self._rho <= _RHO_SERIES_MAX:
+            return rounding
+        _, mid, tail = _split(self._rho, self._tau_max, *_LOW_RULES)
+        if mid is None:  # the closed-form head alone
+            return rounding
+        pref, pref_tail = _prefactors(self._mu, self._rho)
+        return pref * abs(self._mid - mid) + pref_tail * abs(self._tail - tail) + rounding
 
 
 def i7(d: DimensionlessParams) -> float:
@@ -201,46 +224,62 @@ def phase_variance(d: DimensionlessParams) -> VarianceBreakdown:
     decomposition consistent to a rounding error of i7.
     """
     v7 = i7(d)
+    mid = tail = 0.0
     if d.rho == 0.0:
-        return VarianceBreakdown(i7=v7, i8=v7, total=0.0, quadrature_error_estimate=0.0)
-    if d.rho <= _RHO_SERIES_MAX:
+        total = 0.0
+    elif d.rho <= _RHO_SERIES_MAX:
         total = _total_series(d.mu, d.rho, d.tau_max)
-        err = _ROUNDING * abs(total)
     else:
-        total, err = _total_split(d.mu, d.rho, d.tau_max)
+        pref, pref_tail = _prefactors(d.mu, d.rho)
+        head, mid, tail = _split(d.rho, d.tau_max, *_RULES)
+        if mid is None:  # the closed-form head alone
+            total = pref * head
+            mid = tail = 0.0
+        else:
+            total = pref * (head + mid) + pref_tail * tail
     total = max(total, 0.0)
-    return VarianceBreakdown(
-        i7=v7, i8=v7 - total, total=total, quadrature_error_estimate=err
-    )
+    return VarianceBreakdown(v7, v7 - total, total, d.mu, d.rho, d.tau_max, mid, tail)
 
 
-def _total_split(mu: float, rho: float, tau_max: float) -> tuple[float, float]:
-    """The total and its error estimate from the three pieces (rho > sqrt(2)/2)."""
+def _prefactors(mu: float, rho: float) -> tuple[float, float]:
+    """The factors of the u pieces and of the theta piece of the split.
+
+    The theta piece is r^2 int I/beta^2 dtheta, and pref r^2 = 2 mu rho /
+    sqrt(pi) needs no rho^2, which would overflow first.
+    """
+    return 4.0 * mu / (math.sqrt(math.pi) * rho), 2.0 * mu * rho / math.sqrt(math.pi)
+
+
+def _split(rho: float, tau_max: float, n_u: int, n_theta: int
+           ) -> tuple[float, float | None, float | None]:
+    """The pieces of the integral for rho > sqrt(2)/2, before their factors.
+
+    Returns the closed-form head, the sum of the n_u-point u rule and that
+    of the n_theta-point theta rule (0.0 where that piece is empty). Where
+    beta >= 6 all the way to tau_max the head is the whole integral and
+    both sums are None.
+    """
     r = rho / math.sqrt(2.0)
     u_max = math.asinh(tau_max)
-    pref = 4.0 * mu / (math.sqrt(math.pi) * rho)
     # the closed-form head ends and the u rule starts at u0, where beta = 6
     # (u0 = 0 when r <= 6)
     ch0 = max(r / _BETA_ERF_ONE, 1.0)
     sh0 = math.sqrt((ch0 - 1.0) * (ch0 + 1.0))
     u0 = math.acosh(ch0)
-    if u_max <= u0:  # beta >= 6 all the way to tau_max
-        total = pref * (r * u_max - _HALF_SQRT_PI * tau_max)
-        return total, _ROUNDING * abs(total)
+    if u_max <= u0:
+        return r * u_max - _HALF_SQRT_PI * tau_max, None, None
     head = r * u0 - _HALF_SQRT_PI * sh0
     u_small = math.acosh(r / _BETA_SMALL)
     width = min(u_max, u_small) - u0
-    mid = []
-    for n in _U_RULES:
-        acc = 0.0
-        for t, w in gauss_legendre(n):
-            s = width * t
-            # cosh(u0 + s), without the rounding of u0 itself
-            ch = ch0 * math.cosh(s) + sh0 * math.sinh(s)
-            b = r / ch
-            acc += w * (b - _HALF_SQRT_PI * math.erf(b)) * ch
-        mid.append(width * acc)
-    tail = [0.0, 0.0]
+    acc = 0.0
+    for t, w in gauss_legendre(n_u):
+        s = width * t
+        # cosh(u0 + s), without the rounding of u0 itself
+        ch = ch0 * math.cosh(s) + sh0 * math.sinh(s)
+        b = r / ch
+        acc += w * (b - _HALF_SQRT_PI * math.erf(b)) * ch
+    mid = width * acc
+    tail = 0.0
     theta_lo, theta_hi = math.atan2(1.0, tau_max), math.asin(_BETA_SMALL / r)
     if u_max > u_small and theta_hi > theta_lo:
         # near the seam both angles are close to pi/2 and their difference
@@ -249,18 +288,9 @@ def _total_split(mu: float, rho: float, tau_max: float) -> tuple[float, float]:
         tau_s = math.sqrt((r / _BETA_SMALL - 1.0) * (r / _BETA_SMALL + 1.0))
         width = (math.atan((tau_max - tau_s) / (1.0 + tau_max * tau_s)) if tau_s < 1.0
                  else theta_hi - theta_lo)
-        tail = [
-            width * sum(w * _I_over_beta2(r * math.sin(theta_lo + width * t))
-                        for t, w in gauss_legendre(n))
-            for n in _THETA_RULES
-        ]
-    # the tail is r^2 int I/beta^2 dtheta, and pref r^2 = 2 mu rho / sqrt(pi)
-    # needs no rho^2, which would overflow first
-    pref_tail = 2.0 * mu * rho / math.sqrt(math.pi)
-    total = pref * (head + mid[0]) + pref_tail * tail[0]
-    err = (pref * abs(mid[0] - mid[1]) + pref_tail * abs(tail[0] - tail[1])
-           + _ROUNDING * abs(total))
-    return total, err
+        tail = width * sum(w * _I_over_beta2(r * math.sin(theta_lo + width * t))
+                           for t, w in gauss_legendre(n_theta))
+    return head, mid, tail
 
 
 def _total_series(mu: float, rho: float, tau_max: float) -> float:

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gravphase
 from gravphase.cli import _geomspace, _mc_row, emit, run
@@ -607,3 +610,33 @@ def test_criteria_regime_rejects_bad_mass(mass, capsys):
     # the density-only path derives the width from the mass
     assert run(["criteria", "--mass", mass, "--density", "2200"]) == 2
     assert capsys.readouterr().err.startswith("error: mass")
+
+
+def _si(lo=-60.0, hi=60.0):
+    """A positive SI value spread evenly over decades 10^lo to 10^hi."""
+    return st.floats(lo, hi).map(lambda e: repr(10.0**e))
+
+
+_SCALAR_ARGVS = st.one_of(
+    st.tuples(st.just("variance"), st.just("--mass"), _si(), st.just("--width"), _si(),
+              st.just("--separation"), st.one_of(st.just("0"), _si()),
+              st.just("--horizon"), _si()),
+    st.tuples(st.just("criteria"), st.just("--mass"), _si(), st.just("--width"), _si(),
+              st.just("--separation"), st.one_of(st.just("0"), _si())),
+    st.sampled_from(("mass", "width", "separation")).flatmap(lambda p: st.tuples(
+        st.just("sweep"), st.just("--param"), st.just(p), st.just("--start"), _si(),
+        st.just("--stop"), _si(), st.just("--num"), st.integers(2, 5).map(str),
+        *(x for k in ("mass", "width", "separation") if k != p
+          for x in (st.just(f"--{k}"), _si())))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_SCALAR_ARGVS, fmt=st.sampled_from(("json", "csv")))
+def test_scalar_commands_never_raise(argv, fmt):
+    # any SI input ends in an exit code of the CLI contract, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run([*argv, "--format", fmt])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -243,3 +243,65 @@ def test_integrand_beyond_squared_overflow():
     # beta^2 overflows above 1.3e154, where I(beta) = beta - sqrt(pi)/2 is beta
     for b in (1e151, 1e200, 1e300):
         assert math.isclose(integrand_I(b * math.sqrt(2.0), 0.0), b, rel_tol=1e-15)
+
+
+# one point per path of phase_variance, with the rule orders its total uses
+# (beta >= 6 all the way at rho = 100, tau = 1; at rho = 2 the theta piece
+# is empty up to tau = 1 and present at tau = 10)
+LAZY_POINTS = {
+    "series": ((1.0, 0.5, 1.0), set()),
+    "head_only": ((1.0, 100.0, 1.0), set()),
+    "split": ((1.0, 2.0, 1.0), {28}),
+    "split_theta_tail": ((1.0, 2.0, 10.0), {28, 10}),
+}
+LOWER_ORDER = {28: 24, 10: 6}
+
+
+@pytest.fixture
+def rule_orders(monkeypatch):
+    """The n of every gauss_legendre(n) that the variance module requests."""
+    import gravphase.variance as variance
+
+    seen = []
+    real = variance.gauss_legendre
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(variance, "gauss_legendre", recording)
+    return seen
+
+
+@pytest.mark.parametrize("point, orders", LAZY_POINTS.values(), ids=list(LAZY_POINTS))
+def test_error_estimate_runs_lower_order_rules_only_when_read(point, orders, rule_orders):
+    vb = phase_variance(_d(*point))
+    assert set(rule_orders) == orders
+    rule_orders.clear()
+    first = vb.quadrature_error_estimate
+    assert set(rule_orders) == {LOWER_ORDER[n] for n in orders}
+    assert vb.quadrature_error_estimate.hex() == first.hex()
+    assert first >= 0.0
+
+
+@pytest.mark.parametrize("point", [p for p, _ in LAZY_POINTS.values()], ids=list(LAZY_POINTS))
+def test_breakdown_pickles_bit_for_bit(point):
+    import pickle
+
+    vb = phase_variance(_d(*point))
+    copy = pickle.loads(pickle.dumps(vb))
+    for name in ("i7", "i8", "total", "quadrature_error_estimate"):
+        assert getattr(copy, name).hex() == getattr(vb, name).hex()
+
+
+def test_roots_request_only_the_high_order_rules(rule_orders):
+    from gravphase.criteria import critical_length, damping_time
+    from gravphase.units import CODATA2018, make_params
+
+    a = 1e-6
+    for mu in (0.5, 1.0, 5.0, 1e2, 1e4):
+        m = (mu * CODATA2018.hbar**2 / (CODATA2018.G * a)) ** (1.0 / 3.0)
+        for rho in (0.5, 2.0, 10.0, 1e3):
+            damping_time(make_params(m, a, rho * a, 1.0))
+        critical_length(m, a)
+    assert set(rule_orders) == {28, 10}

@@ -1,14 +1,19 @@
-"""Record one point of the performance trajectory into a BENCH_<n>.json file.
+"""Record points of the performance trajectory into a BENCH_<n>.json file.
 
+    python3 tools/bench_record.py --parent ../parent --out BENCH_15.json
     python3 tools/bench_record.py --label change --out BENCH_6.json
-    python3 tools/bench_record.py --repo ../parent --label parent --out BENCH_6.json
 
 Measures the checkout at ``--repo`` (default: this repository) and stores
-the record under ``--label`` in ``--out``, keeping the other labels already
-there. A record holds:
+the record under ``--label`` (default ``change``) in ``--out``, keeping
+the other labels already there. With ``--parent`` it also records that
+checkout under ``parent`` in the same call, alternating the two sides
+measurement by measurement, so that both sides of each perfbench workload
+run within a minute of each other and host drift does not read as a
+change. A record holds:
 
-- ``perfbench/run.py --workload all`` with ``--trace 0`` and ``--trace 1``
-  (the last JSON line of each)
+- ``perfbench/run.py --workload <name>`` with ``--trace 0`` and
+  ``--trace 1`` for each workload of ``BENCHMARK.json`` (the last JSON
+  line of each)
 - the tier-1 suite: wall time, its summary line and the durations of the
   two acceptance tests c11 and c12
 - the median wall time, over seven fresh processes, of
@@ -19,8 +24,9 @@ there. A record holds:
   Python, numpy and scipy versions, and ``git describe``
 
 perfbench runs at seed 1 for 25 s per workload, its defaults. Everything
-runs one process at a time; the record takes about six minutes on two
-cores.
+runs one process at a time; each side takes about six minutes on two
+cores. Within a pair of runs the side that goes first alternates, so
+neither side always runs on the warmer machine.
 """
 
 from __future__ import annotations
@@ -56,16 +62,28 @@ def _run(cmd: list[str], repo: Path, timeout: float) -> tuple[subprocess.Complet
     return proc, time.perf_counter() - t
 
 
-def perfbench(repo: Path) -> dict:
-    out = {"seed": SEED, "seconds": SECONDS}
-    for trace in (0, 1):
-        proc, _ = _run([sys.executable, "perfbench/run.py", "--workload", "all", "--seed",
-                        str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)],
-                       repo, timeout=3600)
-        if proc.returncode != 0:
-            raise RuntimeError(f"perfbench --trace {trace} exited {proc.returncode}: "
-                               f"{proc.stderr[-2000:]}")
-        out[f"trace{trace}"] = json.loads(proc.stdout.strip().splitlines()[-1])
+def _alternate(sides: dict[str, Path], k: int) -> list[tuple[str, Path]]:
+    """The sides in the order of the k-th pair of runs: flipped every pair."""
+    order = list(sides.items())
+    return order if k % 2 == 0 else order[::-1]
+
+
+def perfbench(sides: dict[str, Path]) -> dict[str, dict]:
+    """Each workload of BENCHMARK.json with tracing off and on, on every side
+    in turn before the next run."""
+    out = {label: {"seed": SEED, "seconds": SECONDS, "trace0": {}, "trace1": {}}
+           for label in sides}
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    runs = [(name, trace) for name in names for trace in (0, 1)]
+    for k, (name, trace) in enumerate(runs):
+        for label, repo in _alternate(sides, k):
+            proc, _ = _run([sys.executable, "perfbench/run.py", "--workload", name, "--seed",
+                            str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)],
+                           repo, timeout=3600)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{label}: perfbench {name} --trace {trace} exited "
+                                   f"{proc.returncode}: {proc.stderr[-2000:]}")
+            out[label][f"trace{trace}"][name] = json.loads(proc.stdout.strip().splitlines()[-1])
     return out
 
 
@@ -103,13 +121,22 @@ def _median_wall(args: list[str], repo: Path) -> float:
     return statistics.median(times)
 
 
-def cli(repo: Path) -> dict:
+def cli(sides: dict[str, Path]) -> dict[str, dict]:
+    """Median wall times of the start-up and the README commands, one
+    command on every side before the next."""
     # the import alone is the start-up every command pays
     startup = ["-c", "import gravphase.cli"]
-    medians = {"python " + shlex.join(startup): _median_wall(startup, repo)}
-    for argv in readme_commands(repo):
-        medians["gravphase " + shlex.join(argv)] = _median_wall(["-m", "gravphase", *argv], repo)
-    return {"runs": CLI_RUNS, "median_s": medians}
+    calls = {label: [("python " + shlex.join(startup), startup)]
+             + [("gravphase " + shlex.join(argv), ["-m", "gravphase", *argv])
+                for argv in readme_commands(repo)]
+             for label, repo in sides.items()}
+    out = {label: {"runs": CLI_RUNS, "median_s": {}} for label in sides}
+    for k in range(max(map(len, calls.values()))):
+        for label, repo in _alternate(sides, k):
+            if k < len(calls[label]):
+                key, args = calls[label][k]
+                out[label]["median_s"][key] = _median_wall(args, repo)
+    return out
 
 
 def machine(repo: Path) -> dict:
@@ -131,17 +158,23 @@ def machine(repo: Path) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True)
+    ap.add_argument("--label", default="change")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--repo", type=Path, default=ROOT)
+    ap.add_argument("--parent", type=Path,
+                    help="also record this checkout, as 'parent', alternating with --repo")
     args = ap.parse_args(argv)
-    repo = args.repo.resolve()
+    sides = {args.label: args.repo.resolve()}
+    if args.parent is not None:
+        if args.label == "parent":
+            ap.error("--label parent clashes with --parent")
+        sides = {"parent": args.parent.resolve(), **sides}
 
-    record = {"machine": machine(repo), "perfbench": perfbench(repo), "tier1": tier1(repo),
-              "cli": cli(repo)}
-
+    bench, timings = perfbench(sides), cli(sides)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = record
+    for label, repo in sides.items():
+        data[label] = {"machine": machine(repo), "perfbench": bench[label],
+                       "tier1": tier1(repo), "cli": timings[label]}
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 
