@@ -119,7 +119,8 @@ class VarianceBreakdown:
         if mid is None:  # the closed-form head alone
             return rounding
         pref, pref_tail = _prefactors(self._mu, self._rho)
-        return pref * abs(self._mid - mid) + pref_tail * abs(self._tail - tail) + rounding
+        theta = pref_tail * abs(self._tail - tail) if tail else 0.0
+        return pref * abs(self._mid - mid) + theta + rounding
 
 
 def i7(d: DimensionlessParams) -> float:
@@ -236,7 +237,8 @@ def phase_variance(d: DimensionlessParams) -> VarianceBreakdown:
             total = pref * head
             mid = tail = 0.0
         else:
-            total = pref * (head + mid) + pref_tail * tail
+            # an empty theta piece adds nothing, even where pref_tail overflows
+            total = pref * (head + mid) + (pref_tail * tail if tail else 0.0)
     total = max(total, 0.0)
     return VarianceBreakdown(v7, v7 - total, total, d.mu, d.rho, d.tau_max, mid, tail)
 

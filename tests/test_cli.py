@@ -259,6 +259,16 @@ def test_tau_unit_underflow_is_numerical_failure(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_theta_factor_with_empty_theta_piece(capsys):
+    # 2 mu rho / sqrt(pi) overflows to inf, but beta stays above 1/2 up to
+    # tau_max, so the theta piece is empty and the variance finite
+    assert run(["variance", "--mu", "1e307", "--rho", "100", "--tau-max", "27"]) == 0
+    rec = _json_records(capsys)[0]
+    for name in ("total", "i8", "quadrature_error_estimate"):
+        assert math.isfinite(rec[name])
+    assert rec["total"] == rec["i7"] - rec["i8"]
+
+
 def test_sweep_computes_critical_length_once_per_mass_width(monkeypatch, capsys):
     calls = []
     real = gravphase.cli.critical_length

@@ -1,32 +1,30 @@
-"""Record points of the performance trajectory into a BENCH_<n>.json file.
+"""Record a parent checkout against this one into a BENCH_<n>.json file.
 
-    python3 tools/bench_record.py --parent ../parent --out BENCH_15.json
-    python3 tools/bench_record.py --label change --out BENCH_6.json
+    python3 tools/bench_record.py --parent ../parent --out BENCH_16.json
 
-Measures the checkout at ``--repo`` (default: this repository) and stores
-the record under ``--label`` (default ``change``) in ``--out``, keeping
-the other labels already there. With ``--parent`` it also records that
-checkout under ``parent`` in the same call, alternating the two sides
-measurement by measurement, so that both sides of each perfbench workload
-run within a minute of each other and host drift does not read as a
-change. A record holds:
+The change side is always the checkout that holds this script. The file is
+written whole. Under ``parent`` and ``change`` it holds:
 
-- ``perfbench/run.py --workload <name>`` with ``--trace 0`` and
-  ``--trace 1`` for each workload of ``BENCHMARK.json`` (the last JSON
-  line of each)
-- the tier-1 suite: wall time, its summary line and the durations of the
-  two acceptance tests c11 and c12
-- the median wall time, over seven fresh processes, of
+- ``perfbench``: for each workload of ``BENCHMARK.json``, ``PAIRS``
+  alternating pairs of ``perfbench/run.py`` runs with ``--trace 0``
+  (``trace0.<workload>``, a list whose k-th entry is from the k-th pair),
+  then one pair with ``--trace 1`` (``trace1.<workload>``); each result is
+  the last JSON line of the run
+- ``tier1``: the test suite's wall time, summary line and the durations of
+  the acceptance tests c11 and c12
+- ``cli``: the median wall time, over seven fresh processes, of
   ``python -c "import gravphase.cli"`` (the start-up every command pays)
   and of each command in the README's command-line block
-- nproc, the CPUs in the affinity mask and ``GRAVPHASE_THREADS``, which
-  together set the worker count of every call without ``--workers``, the
-  Python, numpy and scipy versions, and ``git describe``
+- ``machine``: nproc, the CPUs in the affinity mask and
+  ``GRAVPHASE_THREADS``, which set the worker count of calls without
+  ``--workers``, the Python, numpy and scipy versions, and ``git describe``
 
-perfbench runs at seed 1 for 25 s per workload, its defaults. Everything
-runs one process at a time; each side takes about six minutes on two
-cores. Within a pair of runs the side that goes first alternates, so
-neither side always runs on the warmer machine.
+Under ``verdict.<workload>.<metric>`` it holds ``verdict`` of the
+``trace0`` pairs for each end-to-end metric of ``BENCHMARK.json``.
+
+perfbench runs at seed 1 for 25 s per workload, its defaults. One process
+runs at a time, and the side that goes first flips every pair, so host
+drift falls on both sides alike.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED, SECONDS, CLI_RUNS = 1, 25.0, 7
+SEED, SECONDS, CLI_RUNS, PAIRS = 1, 25.0, 7, 10
+SIDES = ("parent", "change")
 
 
 def _env(repo: Path) -> dict:
@@ -62,29 +61,88 @@ def _run(cmd: list[str], repo: Path, timeout: float) -> tuple[subprocess.Complet
     return proc, time.perf_counter() - t
 
 
-def _alternate(sides: dict[str, Path], k: int) -> list[tuple[str, Path]]:
-    """The sides in the order of the k-th pair of runs: flipped every pair."""
-    order = list(sides.items())
-    return order if k % 2 == 0 else order[::-1]
+def _alternate(parent: Path, change: Path, k: int) -> list[tuple[str, Path]]:
+    """The two sides in the order of the k-th pair of runs: flipped every pair."""
+    pair = [("parent", parent), ("change", change)]
+    return pair if k % 2 == 0 else pair[::-1]
 
 
-def perfbench(sides: dict[str, Path]) -> dict[str, dict]:
-    """Each workload of BENCHMARK.json with tracing off and on, on every side
-    in turn before the next run."""
-    out = {label: {"seed": SEED, "seconds": SECONDS, "trace0": {}, "trace1": {}}
-           for label in sides}
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    runs = [(name, trace) for name in names for trace in (0, 1)]
+def perfbench(parent: Path, change: Path, names: list[str]) -> dict[str, dict]:
+    """PAIRS pairs of runs of each workload with tracing off, then one pair
+    with it on; the side that goes first flips every pair."""
+    out = {label: {"seed": SEED, "seconds": SECONDS, "trace0": {name: [] for name in names},
+                   "trace1": {}} for label in SIDES}
+    runs = [(name, trace) for name in names for trace in [0] * PAIRS + [1]]
     for k, (name, trace) in enumerate(runs):
-        for label, repo in _alternate(sides, k):
+        for label, repo in _alternate(parent, change, k):
             proc, _ = _run([sys.executable, "perfbench/run.py", "--workload", name, "--seed",
                             str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)],
                            repo, timeout=3600)
             if proc.returncode != 0:
                 raise RuntimeError(f"{label}: perfbench {name} --trace {trace} exited "
                                    f"{proc.returncode}: {proc.stderr[-2000:]}")
-            out[label][f"trace{trace}"][name] = json.loads(proc.stdout.strip().splitlines()[-1])
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            if trace:
+                out[label]["trace1"][name] = result
+            else:
+                out[label]["trace0"][name].append(result)
     return out
+
+
+def _quartiles(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def _failed_share(runs: list[dict]) -> float:
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
+def verdict(parent: list[dict], change: list[dict], metric: str, better: str,
+            bound: float) -> dict:
+    """The verdict on one end-to-end metric from paired perfbench results:
+    ``parent[k]`` and ``change[k]`` ran as the k-th pair.
+
+    - ``gain``: the change wins at least 9 in 10 pairs (a tie counts for
+      neither side), its median is better than the parent's by more than the
+      parent's quartile spread, it fails no larger share of operations and
+      every change run is ``correct``
+    - ``regression``: the change's median is worse than the parent's by
+      more than ``bound`` (relative)
+    - ``unresolved``: the parent's quartile spread, relative to its median,
+      is wider than ``bound``, and some change run does not beat every
+      parent run
+    - ``no_regression``: any other case
+
+    ``better`` is ``"lower"`` or ``"higher"``.
+    """
+    p = [r["metrics"][metric]["value"] for r in parent]
+    c = [r["metrics"][metric]["value"] for r in change]
+    sign = 1.0 if better == "lower" else -1.0
+
+    def beats(x: float, y: float) -> bool:
+        return sign * x < sign * y
+
+    wins = sum(beats(y, x) for x, y in zip(p, c))
+    losses = sum(beats(x, y) for x, y in zip(p, c))
+    ps, cs = _quartiles(p), _quartiles(c)
+    spread = ps["q3"] - ps["q1"]
+    gain = sign * (ps["median"] - cs["median"])
+    if (10 * wins >= 9 * len(p) and gain > spread
+            and _failed_share(change) <= _failed_share(parent)
+            and all(r["correct"] for r in change)):
+        outcome = "gain"
+    elif -gain > bound * ps["median"]:
+        outcome = "regression"
+    elif spread > bound * ps["median"] and not all(beats(y, x) for x in p for y in c):
+        outcome = "unresolved"
+    else:
+        outcome = "no_regression"
+    return {"parent": {**ps, "failed_share": _failed_share(parent)},
+            "change": {**cs, "failed_share": _failed_share(change)},
+            "ratios": [y / x for x, y in zip(p, c)],
+            "wins": wins, "losses": losses, "ties": len(p) - wins - losses,
+            "verdict": outcome}
 
 
 def tier1(repo: Path) -> dict:
@@ -121,18 +179,18 @@ def _median_wall(args: list[str], repo: Path) -> float:
     return statistics.median(times)
 
 
-def cli(sides: dict[str, Path]) -> dict[str, dict]:
+def cli(parent: Path, change: Path) -> dict[str, dict]:
     """Median wall times of the start-up and the README commands, one
-    command on every side before the next."""
+    command on both sides before the next."""
     # the import alone is the start-up every command pays
     startup = ["-c", "import gravphase.cli"]
     calls = {label: [("python " + shlex.join(startup), startup)]
              + [("gravphase " + shlex.join(argv), ["-m", "gravphase", *argv])
                 for argv in readme_commands(repo)]
-             for label, repo in sides.items()}
-    out = {label: {"runs": CLI_RUNS, "median_s": {}} for label in sides}
+             for label, repo in _alternate(parent, change, 0)}
+    out = {label: {"runs": CLI_RUNS, "median_s": {}} for label in SIDES}
     for k in range(max(map(len, calls.values()))):
-        for label, repo in _alternate(sides, k):
+        for label, repo in _alternate(parent, change, k):
             if k < len(calls[label]):
                 key, args = calls[label][k]
                 out[label]["median_s"][key] = _median_wall(args, repo)
@@ -158,23 +216,24 @@ def machine(repo: Path) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", default="change")
+    ap.add_argument("--parent", type=Path, required=True,
+                    help="the checkout to compare this one with")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--repo", type=Path, default=ROOT)
-    ap.add_argument("--parent", type=Path,
-                    help="also record this checkout, as 'parent', alternating with --repo")
     args = ap.parse_args(argv)
-    sides = {args.label: args.repo.resolve()}
-    if args.parent is not None:
-        if args.label == "parent":
-            ap.error("--label parent clashes with --parent")
-        sides = {"parent": args.parent.resolve(), **sides}
+    parent = args.parent.resolve()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
 
-    bench, timings = perfbench(sides), cli(sides)
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    for label, repo in sides.items():
-        data[label] = {"machine": machine(repo), "perfbench": bench[label],
-                       "tier1": tier1(repo), "cli": timings[label]}
+    bench, timings = perfbench(parent, ROOT, names), cli(parent, ROOT)
+    data = {label: {"machine": machine(repo), "perfbench": bench[label],
+                    "tier1": tier1(repo), "cli": timings[label]}
+            for label, repo in _alternate(parent, ROOT, 0)}
+    data["verdict"] = {
+        name: {m["name"]: verdict(bench["parent"]["trace0"][name],
+                                  bench["change"]["trace0"][name],
+                                  m["name"], m["better"], m["bound"])
+               for m in spec["end_to_end"]}
+        for name in names}
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 

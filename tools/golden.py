@@ -84,6 +84,8 @@ CALLS = [
     ("sweep", "--param", "mass", "--start", "1e-18", "--stop", "1e-14", "--num", "9",
      "--width", "1e-7"),
     ("criteria", "--mass", "1e-120", "--width", "1"),
+    # the theta-piece factor overflows where the theta piece is empty: exit 0
+    ("variance", "--mu", "1e307", "--rho", "100", "--tau-max", "27"),
     ("variance", "--mu", "1", "--rho", "1", "--tau-max", "3", "--output",
      "no-such-dir/out.json"),
 ]
