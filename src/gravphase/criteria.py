@@ -21,9 +21,9 @@ closed form, as accurate there as the root finder.
 
 Every other root solves DeltaPhi^2 = threshold along a line on which the
 variance rises from 0 (tau for the damping time, tau = rho^2 for L_c) with
-one scan: the point grows eightfold, clamped at a cap, until the sign
-changes (or shrinks eightfold, if the root lies below the first point),
-and Brent's method refines that bracket from the end values the scan has.
+one scan up from a closed-form lower bound of the root: the point grows
+eightfold, clamped at a cap, until the sign changes, and Brent's method
+refines that bracket from the end values the scan has.
 The scan raises BracketError if the sign has not changed at the cap (for
 L_c, rho = 1e100, which the closed form honours too); the damping time
 checks its cap first and returns the cap as a sentinel.
@@ -172,29 +172,25 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12, rtol: float = 1e-10,
     raise RuntimeError(f"root not converged after {maxiter} iterations")
 
 
-def _root(f, hi: float, cap: float, what: str) -> float:
-    """Root of an increasing f with f(0) < 0, scanning hi, 8 hi, ... up to cap.
+def _root(f, lo: float, cap: float, what: str) -> float:
+    """Root of an increasing f above a proven lower bound lo, f(lo) <= 0.
 
-    A root below the first point is bracketed by scanning hi/8, hi/64, ...
-    down instead, and solved to a tolerance relative to the bracket, which
-    an absolute one would exceed at a small enough root.
+    Scans lo, 8 lo, ... clamped at cap until the sign changes, then Brent
+    refines that bracket from the end values the scan has, to a tolerance
+    relative to lo. If f(lo) >= 0, lo is the root to rounding.
     """
-    lo, f_lo = 0.0, f(0.0)
-    f_hi = f(hi)
-    while f_hi < 0.0:
-        if hi >= cap:
-            raise BracketError(f"{what} root not bracketable", lo, hi)
-        lo, f_lo = hi, f_hi
-        hi = min(hi * 8.0, cap)
+    if not 0.0 < lo <= cap:
+        raise BracketError(f"{what} root not bracketable", lo, cap)
+    x, f_x = lo, f(lo)
+    if f_x >= 0.0:
+        return lo
+    while x < cap:
+        hi = min(x * 8.0, cap)
         f_hi = f(hi)
-    if lo > 0.0:
-        return _brentq(f, lo, hi, fa=f_lo, fb=f_hi)
-    lo, f_lo = hi / 8.0, f(hi / 8.0)
-    while f_lo >= 0.0:
-        hi, f_hi = lo, f_lo
-        lo /= 8.0
-        f_lo = f(lo)
-    return _brentq(f, lo, hi, xtol=2e-12 * lo, fa=f_lo, fb=f_hi)
+        if f_hi >= 0.0:
+            return _brentq(f, x, hi, xtol=2e-12 * lo, fa=f_x, fb=f_hi)
+        x, f_x = hi, f_hi
+    raise BracketError(f"{what} root not bracketable", lo, cap)
 
 
 def _check_positive(**values: float) -> None:
@@ -205,9 +201,6 @@ def _check_positive(**values: float) -> None:
 
 
 def _total(mu: float, rho: float, tau: float) -> float:
-    # bracket scans start at tau = 0 or rho = 0, where the variance is 0
-    if rho == 0.0 or tau == 0.0:
-        return 0.0
     return phase_variance(DimensionlessParams(mu=mu, rho=rho, tau_max=tau)).total
 
 
@@ -219,24 +212,29 @@ def damping_time(
 ) -> float:
     """Time at which the phase variance reaches the threshold [s].
 
-    The variance is strictly increasing in time for rho > 0, so the root is
-    unique and safe to bracket by geometric expansion from t = m a^2 / hbar.
-    If the threshold is not reached by ``t_cap`` (the variance saturates at
-    a finite value once the packets have spread beyond their separation),
-    the cap itself is returned as a "no decoherence at cap" sentinel rather
-    than raising.
+    The variance is strictly increasing and concave in time for rho > 0, so
+    the root is unique and the scan starts at the linear-regime root tau0 =
+    threshold sqrt(pi) / (2 mu rho I(beta0) / beta0^2), beta0 = rho / sqrt(2),
+    which is never above it. If the threshold is not reached by ``t_cap``
+    (the variance saturates once the packets have spread beyond their
+    separation), the cap itself is returned as a "no decoherence" sentinel.
     """
     mu = coupling(p.m, p.a, constants)
     rho = p.R / p.a
     t_unit = time_unit(p.m, p.a, constants)
     tau_cap = t_cap / t_unit
     target = th.variance_threshold
-    f_cap = _total(mu, rho, tau_cap) - target
+    # a cap t_cap / t_unit that underflows to tau = 0 comes before any variance
+    f_cap = (_total(mu, rho, tau_cap) if tau_cap > 0.0 else 0.0) - target
     if f_cap < 0.0:
         return t_cap
+    # divided in this order, no factor overflows before the last division; a
+    # slope that underflows to 0 leaves no bound, and _root raises
+    slope = rho * _I_over_beta2(rho / math.sqrt(2.0))
+    tau0 = target * math.sqrt(math.pi) / 2.0 / mu / slope if slope > 0.0 else 0.0
     # the scan may end at the cap, whose value is already known
     f = lambda tau: f_cap if tau == tau_cap else _total(mu, rho, tau) - target
-    return _root(f, 1.0, tau_cap, "damping time") * t_unit
+    return _root(f, min(tau0, tau_cap), tau_cap, "damping time") * t_unit
 
 
 def damping_time_short(
@@ -290,8 +288,8 @@ def critical_length(
     Where that gives rho_c >= 1e6 (mu <~ 0.46 at the pi^2 threshold) the
     neglected term moves rho_c by at most 4e-13 relative, inside the root
     finder's tolerance, and the root is returned from the formula with no
-    quadrature (Method.MICRO_CLOSED_FORM). Below that, the
-    root is found by geometric bracketing plus Brent (FULL_QUADRATURE).
+    quadrature (Method.MICRO_CLOSED_FORM). Below that, Brent refines a scan
+    up from the macro limit rho_0 of the root (FULL_QUADRATURE).
     Either way a root beyond rho = 1e100 raises BracketError.
 
     Also evaluates the asymptotic law for the applicable regime (macro
@@ -310,8 +308,10 @@ def critical_length(
         rho_c = math.exp(ln_rho_c)
         method = Method.MICRO_CLOSED_FORM
     else:
+        # rho_0 <= rho_c as F(rho, rho^2) <= sqrt(2) rho^4 / (3 sqrt(pi)); mu divides first
+        rho_0 = (target / mu * 3.0 * math.sqrt(math.pi / 2.0)) ** 0.25
         g = lambda rho: _total(mu, rho, rho * rho) - target
-        rho_c = _root(g, max(mu**-0.25, 1e-3), _RHO_CAP, "critical length")
+        rho_c = _root(g, rho_0, _RHO_CAP, "critical length")
         method = Method.FULL_QUADRATURE
     ratio, asym_method = _asymptotic_ratio(mu)
     return CriticalLengthResult(

@@ -264,9 +264,9 @@ def _split(rho: float, tau_max: float, n_u: int, n_theta: int
     r = rho / math.sqrt(2.0)
     u_max = math.asinh(tau_max)
     # the closed-form head ends and the u rule starts at u0, where beta = 6
-    # (u0 = 0 when r <= 6)
+    # (u0 = 0 when r <= 6; sinh u0 is cosh u0 to the last bit past 1e150)
     ch0 = max(r / _BETA_ERF_ONE, 1.0)
-    sh0 = math.sqrt((ch0 - 1.0) * (ch0 + 1.0))
+    sh0 = ch0 if ch0 > 1e150 else math.sqrt((ch0 - 1.0) * (ch0 + 1.0))
     u0 = math.acosh(ch0)
     if u_max <= u0:
         return r * u_max - _HALF_SQRT_PI * tau_max, None, None

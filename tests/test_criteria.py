@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravphase.criteria import (
+    T_CAP_DEFAULT,
     BracketError,
     Method,
     Regime,
@@ -312,7 +313,7 @@ def test_roots_evaluate_no_point_twice(monkeypatch):
         m = _mass_for_mu(mu, a)
         pair = make_params(m, a, 10.0 * a, 1.0)
         # a cap just above the root makes the scan end on the cap itself
-        # (at mu = 5 the root is tau = 2.1, between the scan points 1 and 8)
+        # (at mu = 5 it steps from tau0 = 1.41 straight to the cap, 2.14)
         t_cap = 1.001 * damping_time(pair)
         for solve in (lambda: critical_length(m, a), lambda: damping_time(pair),
                       lambda: damping_time(pair, t_cap=t_cap)):
@@ -345,13 +346,62 @@ def test_damping_time_below_first_scan_point(mu):
 
 @pytest.mark.parametrize("mu", [6e34, 6e50])
 def test_critical_length_below_first_scan_point(mu):
-    # rho_c ~ 2.47 mu^(-1/4) lies far below the first scan point
-    # max(mu^(-1/4), 1e-3) = 1e-3
+    # rho_c ~ 2.47 mu^(-1/4) lies far below 1e-3, and within 1e-10 of the
+    # scan's first point, its macro limit
     a = 1e-6
     m = _mass_for_mu(mu, a)
     rho_c = critical_length(m, a).l_c / a
     d = DimensionlessParams(mu=coupling(m, a), rho=rho_c, tau_max=rho_c**2)
     assert math.isclose(phase_variance(d).total, math.pi**2, rel_tol=1e-9)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_log_uniform(-60, 103), a=_log_uniform(-320, 300), rho=_log_uniform(-20, 300),
+       threshold=_log_uniform(-3, 3))
+def test_roots_end_in_bounded_work(m, a, rho, threshold):
+    # each root returns or raises BracketError or OverflowError within 1000
+    # variance calls, so a spinning scan fails here instead of hanging
+    import gravphase.criteria as criteria
+
+    calls = [0]
+    real = criteria.phase_variance
+
+    def counted(d):
+        calls[0] += 1
+        if calls[0] > 1000:
+            pytest.fail(f"more than 1000 variance calls, at {d}")
+        return real(d)
+
+    th = Threshold(variance_threshold=threshold)
+    solves = [lambda: critical_length(m, a, th=th).l_c]
+    try:
+        pair = make_params(m, a, rho * a, 1.0)
+        solves.append(lambda: damping_time(pair, th))
+    except ValueError:  # R = rho a overflows
+        pass
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "phase_variance", counted)
+        for solve, bound in zip(solves, (math.inf, T_CAP_DEFAULT)):
+            calls[0] = 0
+            try:
+                value = solve()
+            except (BracketError, OverflowError):
+                continue
+            assert 0.0 <= value <= bound
+
+
+def test_critical_length_near_largest_mu():
+    # mu = 1.57e308, where sqrt(2) mu overflows: the lower bound rho_0 must
+    # still be formed without overflow
+    m, a = 5.844151499172407e74, 1.310009072459035e26
+    mu = coupling(m, a)
+    clr = critical_length(m, a)
+    assert clr.method is Method.FULL_QUADRATURE
+    assert math.isclose(clr.l_c / a, MACRO_CONSTANT * mu**-0.25, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("m, a", [(math.nan, 1e-7), (1e-17, math.inf), (math.inf, 1e-7),
@@ -389,7 +439,8 @@ def _root_found_rho_c(mu):
     import gravphase.criteria as criteria
 
     g = lambda rho: criteria._total(mu, rho, rho * rho) - math.pi**2
-    return criteria._root(g, max(mu**-0.25, 1e-3), 1e100, "critical length")
+    rho_0 = (math.pi**2 / mu * 3.0 * math.sqrt(math.pi / 2.0)) ** 0.25
+    return criteria._root(g, rho_0, 1e100, "critical length")
 
 
 def _mp_variance_on_diagonal(mu, rho):

@@ -245,6 +245,18 @@ def test_integrand_beyond_squared_overflow():
         assert math.isclose(integrand_I(b * math.sqrt(2.0), 0.0), b, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("rho", [1e155, 1.2e155, 1e160, 1e200, 1e250])
+def test_saturated_variance_past_cosh_squared_overflow(rho):
+    # from rho ~ 1.1e155 the head's (cosh u0)^2 overflows; at tau = 1e300 >> rho
+    # the total is the ceiling F_inf = sqrt(2/pi) (2 ln rho + gamma + ln 2 - 2)
+    # + O(rho^-2)
+    v = phase_variance(_d(1.0, rho, 1e300))
+    f_inf = math.sqrt(2.0 / math.pi) * (2.0 * math.log(rho) + 0.57721566490153286
+                                        + math.log(2.0) - 2.0)
+    assert math.isclose(v.total, f_inf, rel_tol=1e-14)
+    assert math.isfinite(v.quadrature_error_estimate)
+
+
 # one point per path of phase_variance, with the rule orders its total uses
 # (beta >= 6 all the way at rho = 100, tau = 1; at rho = 2 the theta piece
 # is empty up to tau = 1 and present at tau = 10)

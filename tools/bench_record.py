@@ -10,8 +10,9 @@ written whole. Under ``parent`` and ``change`` it holds:
   (``trace0.<workload>``, a list whose k-th entry is from the k-th pair),
   then one pair with ``--trace 1`` (``trace1.<workload>``); each result is
   the last JSON line of the run
-- ``tier1``: the test suite's wall time, summary line and the durations of
-  the acceptance tests c11 and c12
+- ``tier1``: ``TIER1_PAIRS`` runs of the test suite, the k-th from the
+  k-th of as many alternating pairs, each with its wall time, summary line
+  and the durations of the acceptance tests c11 and c12
 - ``cli``: the median wall time, over seven fresh processes, of
   ``python -c "import gravphase.cli"`` (the start-up every command pays)
   and of each command in the README's command-line block
@@ -43,7 +44,7 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED, SECONDS, CLI_RUNS, PAIRS = 1, 25.0, 7, 10
+SEED, SECONDS, CLI_RUNS, PAIRS, TIER1_PAIRS = 1, 25.0, 7, 10, 2
 SIDES = ("parent", "change")
 
 
@@ -158,6 +159,16 @@ def tier1(repo: Path) -> dict:
             "summary": lines[-1].strip("= ") if lines else "", "durations_s": durations}
 
 
+def tier1_pairs(parent: Path, change: Path) -> dict[str, list[dict]]:
+    """TIER1_PAIRS pairs of test-suite runs; the side that goes first flips
+    every pair."""
+    out = {label: [] for label in SIDES}
+    for k in range(TIER1_PAIRS):
+        for label, repo in _alternate(parent, change, k):
+            out[label].append(tier1(repo))
+    return out
+
+
 def readme_commands(repo: Path) -> list[list[str]]:
     """The ``gravphase ...`` lines of the README's command-line block."""
     text = (repo / "README.md").read_text(encoding="utf-8")
@@ -225,8 +236,9 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
 
     bench, timings = perfbench(parent, ROOT, names), cli(parent, ROOT)
+    suites = tier1_pairs(parent, ROOT)
     data = {label: {"machine": machine(repo), "perfbench": bench[label],
-                    "tier1": tier1(repo), "cli": timings[label]}
+                    "tier1": suites[label], "cli": timings[label]}
             for label, repo in _alternate(parent, ROOT, 0)}
     data["verdict"] = {
         name: {m["name"]: verdict(bench["parent"]["trace0"][name],

@@ -86,6 +86,10 @@ CALLS = [
     ("criteria", "--mass", "1e-120", "--width", "1"),
     # the theta-piece factor overflows where the theta piece is empty: exit 0
     ("variance", "--mu", "1e307", "--rho", "100", "--tau-max", "27"),
+    # (cosh u0)^2 overflows in the closed-form head from rho ~ 1.1e155: exit 0
+    ("variance", "--mu", "1", "--rho", "1e160", "--tau-max", "1e300"),
+    # the critical length at mu = 1.57e308, where sqrt(2) mu overflows: exit 0
+    ("criteria", "--mass", "5.844151499172407e+74", "--width", "1.310009072459035e+26"),
     ("variance", "--mu", "1", "--rho", "1", "--tau-max", "3", "--output",
      "no-such-dir/out.json"),
 ]
