@@ -11,9 +11,10 @@ Subcommands cover every pipeline stage:
 
 Inputs are SI (kg, m, s) unless the dimensionless flags --mu / --rho /
 --tau-max are used. A config file (flat ``key = value`` lines, or JSON if
-the file starts with ``{``) can supply any flag's value; explicit flags
-win. Results go to stdout or --output as CSV or JSON with floats printed
-to 17 significant digits, which round-trips IEEE doubles exactly.
+the file starts with ``{``) can supply any flag's value, --format and
+--output too; each value in it is checked, and explicit flags win. Results
+go to stdout or --output as CSV or JSON with floats printed to 17
+significant digits, which round-trips IEEE doubles exactly.
 
 Exit codes: 0 success, 1 verification subcommand found a failing check,
 2 validation or usage error, 3 numerical failure.
@@ -29,7 +30,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -47,7 +47,7 @@ from .units import (
 )
 from .variance import phase_variance
 
-__all__ = ["RunConfig", "run", "parse_config", "emit", "console_entry"]
+__all__ = ["run", "emit", "console_entry"]
 
 # names the stochastic subcommands take from noisefield and oracle, which
 # import numpy: they are bound from the package, which imports them on
@@ -82,16 +82,6 @@ class _UsageError(ValueError):
     """Bad flags or config: reported on stderr with exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for one subcommand run."""
-
-    subcommand: str
-    params: dict
-    output_format: str
-    output_path: str | None
-
-
 # every flag, declared once: key -> (type, --help text). "seps" is a
 # comma-separated float list; a tuple lists the accepted strings.
 _FLAGS: dict[str, tuple[object, str]] = {
@@ -118,8 +108,11 @@ _FLAGS: dict[str, tuple[object, str]] = {
     "separations": ("seps", "comma-separated separations [m]"),
     "steps": (int, "time steps"),
     "members": (int, "ensemble members (>= 64)"),
+    "format": (("csv", "json"), "output format"),
+    "output": (str, "output path (default stdout)"),
 }
-_COMMON_KEYS = {"format": str, "output": str}
+# the flags every subcommand takes, with their defaults
+_COMMON = {"format": "json", "output": None}
 
 # --help text that differs from the shared one in one subcommand
 _HELP_OVERRIDES = {
@@ -144,9 +137,7 @@ def _parser() -> argparse.ArgumentParser:
     for name, (help_text, _, keys) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="config file (key = value lines, or JSON)")
-        sp.add_argument("--format", choices=["csv", "json"], help="output format")
-        sp.add_argument("--output", help="output path (default stdout)")
-        for key in keys:
+        for key in (*_COMMON, *keys):
             target, flag_help = _FLAGS[key]
             sp.add_argument(
                 "--" + key.replace("_", "-"),
@@ -220,36 +211,23 @@ def _read_config_file(path: str, keys: dict) -> dict:
     out: dict = {}
     for key, value in raw.items():
         canonical = _ALIASES.get(key, key).replace("-", "_")
-        if canonical in keys:
-            out[canonical] = _coerce(key, value, _FLAGS[canonical][0])
-        elif canonical in _COMMON_KEYS:
-            out[canonical] = _coerce(key, value, _COMMON_KEYS[canonical])
-        else:
+        if canonical not in keys:
             raise _UsageError(f"unknown config key: {key}")
+        out[canonical] = _coerce(key, value, _FLAGS[canonical][0])
     return out
 
 
-def parse_config(ns: argparse.Namespace) -> RunConfig:
-    """Merge config-file values (if any) under explicit CLI flags."""
-    flags = _COMMANDS[ns.subcommand][2]
-    merged = {k: v for k, v in flags.items() if v is not None}
-    if getattr(ns, "config", None):
-        merged.update(_read_config_file(ns.config, flags))
-    for key in flags:
-        value = getattr(ns, key, None)
+def _params(ns: argparse.Namespace) -> dict:
+    """The run's inputs: defaults, then the config file, then explicit flags."""
+    keys = {**_COMMON, **_COMMANDS[ns.subcommand][2]}
+    params = {k: v for k, v in keys.items() if v is not None}
+    if ns.config:
+        params.update(_read_config_file(ns.config, keys))
+    for key in keys:
+        value = getattr(ns, key)
         if value is not None:
-            merged[key] = _coerce(key, value, _FLAGS[key][0])
-    fmt = ns.format or merged.pop("format", None) or "json"
-    if fmt not in ("csv", "json"):
-        raise _UsageError(f"invalid value for config key 'format': {fmt!r}")
-    out_path = ns.output or merged.pop("output", None)
-    merged.pop("format", None)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        params=merged,
-        output_format=fmt,
-        output_path=out_path,
-    )
+            params[key] = _coerce(key, value, _FLAGS[key][0])
+    return params
 
 
 def _need(params: dict, keys: tuple, context: str) -> list:
@@ -476,16 +454,17 @@ def _cmd_simulate(params: dict) -> tuple[list[dict], bool]:
 
 
 # subcommand -> (--help text, handler, {flag: default or None} in --help
-# order); the flags are the only keys a config file may set
+# order); these and _COMMON are the only keys a config file may set
 _COMMANDS: dict[str, tuple[str, object, dict[str, object]]] = {
     "variance": ("phase-variance breakdown", _cmd_variance, dict.fromkeys(
         ("mass", "width", "separation", "horizon", "mu", "rho", "tau_max"))),
     "criteria": ("decoherence time, critical length and mass, regime", _cmd_criteria,
                  {**dict.fromkeys(("mass", "width", "separation", "density")),
-                  "threshold": math.pi**2}),
+                  "threshold": Threshold.variance_threshold}),
     "sweep": ("geometric sweep of mass, width, or separation", _cmd_sweep,
               {**dict.fromkeys(("param", "start", "stop", "num", "mass", "width",
-                                "separation")), "threshold": math.pi**2}),
+                                "separation")),
+               "threshold": Threshold.variance_threshold}),
     "oracle": ("run the Monte Carlo / quadrature verification suite", _cmd_oracle,
                {"samples": 10**6, "seed": 42, "workers": None}),
     "covariance": ("measure the sampled noise-field covariance", _cmd_covariance,
@@ -567,22 +546,23 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = parse_config(ns)
-        records, failed = _COMMANDS[cfg.subcommand][1](cfg.params)
+        params = _params(ns)
+        fmt, path = params.pop("format"), params.pop("output", None)
+        records, failed = _COMMANDS[ns.subcommand][1](params)
     except ValueError as e:  # includes _UsageError and ConfigurationError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (BracketError, FloatingPointError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    seed = cfg.params.get("seed")  # only the stochastic subcommands have one
+    seed = params.get("seed")  # only the stochastic subcommands have one
     stamp = datetime.now(timezone.utc).isoformat()
     for rec in records:
         rec["version"] = __version__
         rec["seed"] = seed
         rec["timestamp"] = stamp
     try:
-        emit(records, cfg.output_format, cfg.output_path)
+        emit(records, fmt, path)
     except FloatingPointError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

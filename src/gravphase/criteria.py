@@ -66,6 +66,9 @@ _RHO_CAP = 1e100
 _RHO_CLOSED_FORM = 1e6
 _EULER_GAMMA = 0.57721566490153286
 
+# classify: Boundary where the asymptotic L_c / a is within this of 1
+_BOUNDARY_BAND = 0.1
+
 
 class Regime(enum.Enum):
     QUANTUM = "Quantum"
@@ -200,6 +203,13 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _seconds(t: float, what: str, p: PacketPair) -> float:
+    """A time t > 0 [s]; OverflowError where it underflowed to 0."""
+    if t == 0.0:
+        raise OverflowError(f"{what} underflows to 0 s at m = {p.m}, a = {p.a}, R = {p.R}")
+    return t
+
+
 def _total(mu: float, rho: float, tau: float) -> float:
     return phase_variance(DimensionlessParams(mu=mu, rho=rho, tau_max=tau)).total
 
@@ -218,6 +228,7 @@ def damping_time(
     which is never above it. If the threshold is not reached by ``t_cap``
     (the variance saturates once the packets have spread beyond their
     separation), the cap itself is returned as a "no decoherence" sentinel.
+    A root whose time in seconds underflows to 0 raises OverflowError.
     """
     mu = coupling(p.m, p.a, constants)
     rho = p.R / p.a
@@ -234,7 +245,8 @@ def damping_time(
     tau0 = target * math.sqrt(math.pi) / 2.0 / mu / slope if slope > 0.0 else 0.0
     # the scan may end at the cap, whose value is already known
     f = lambda tau: f_cap if tau == tau_cap else _total(mu, rho, tau) - target
-    return _root(f, min(tau0, tau_cap), tau_cap, "damping time") * t_unit
+    tau = _root(f, min(tau0, tau_cap), tau_cap, "damping time")
+    return _seconds(tau * t_unit, "damping time", p)
 
 
 def damping_time_short(
@@ -254,7 +266,8 @@ def damping_time_short(
     multiplies this by th/2, making the result directly comparable with
     the root-found ``damping_time`` at the same threshold.
 
-    R = 0 returns math.inf: coincident packets never decohere.
+    R = 0 returns math.inf: coincident packets never decohere. A time that
+    underflows to 0 raises OverflowError.
     """
     # the bracket is sqrt(2/pi) I(b) / (a b), b = R / sqrt(2) a, I the variance integrand
     b = p.R / p.a / math.sqrt(2.0)
@@ -264,7 +277,7 @@ def damping_time_short(
     t = constants.hbar / (constants.G * p.m**2) / bracket
     if threshold is not None:
         t *= threshold / 2.0
-    return t
+    return _seconds(t, "short-time damping time", p)
 
 
 def critical_length(
@@ -357,14 +370,13 @@ def classify(
     density: float,
     a: float | None = None,
     constants: PhysicalConstants = CODATA2018,
-    band: float = 0.1,
 ) -> Regime:
     """Regime of an object: Classical iff L_c < a, Quantum iff L_c > a.
 
     Uses the asymptotic critical-length laws, under which the ratio L_c / a
     is continuous and strictly decreasing in m, equals 1 exactly at
     m = critical_mass(density) when a is derived from the density, and
-    defines the Boundary verdict within ``band`` of 1.
+    defines the Boundary verdict within 0.1 of 1.
     """
     _check_positive(mass=m)
     if a is None:
@@ -372,7 +384,7 @@ def classify(
         a = width_from_density(m, density)
     _check_positive(width=a)
     ratio, _ = _asymptotic_ratio(coupling(m, a, constants))
-    if abs(ratio - 1.0) <= band:
+    if abs(ratio - 1.0) <= _BOUNDARY_BAND:
         return Regime.BOUNDARY
     return Regime.CLASSICAL if ratio < 1.0 else Regime.QUANTUM
 

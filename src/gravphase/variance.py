@@ -323,4 +323,6 @@ def _total_series(mu: float, rho: float, tau_max: float) -> float:
             break
         power *= rho2 / 2.0
         fact *= k + 1
-    return 4.0 * mu / math.sqrt(math.pi) * out
+    # 4 mu would overflow from mu = 4.4e307 on; scaling out by 4 is exact, so
+    # this rounds as (4 mu / sqrt(pi)) out does, and a zero sum gives 0
+    return mu / math.sqrt(math.pi) * (4.0 * out)

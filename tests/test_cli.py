@@ -650,3 +650,50 @@ def test_scalar_commands_never_raise(argv, fmt):
         rc = run([*argv, "--format", fmt])
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_damping_time_underflow_is_numerical_failure(capsys):
+    # the root is positive, but its time in seconds underflows to 0
+    argv = ["criteria", "--mass", "5.02e+93", "--width", "5.48e-133",
+            "--separation", "2.0988e-22", "--threshold", "72.5"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: damping time underflows to 0 s")
+
+
+def test_variance_at_largest_mu(capsys):
+    # 4 mu overflows in the small-rho series, the total does not
+    argv = ["variance", "--rho", "0.5", "--tau-max", "1", "--mu"]
+    assert run([*argv, "1e308"]) == 0
+    big = _json_records(capsys)[0]["total"]
+    assert run([*argv, "1e307"]) == 0
+    assert math.isclose(big, 10.0 * _json_records(capsys)[0]["total"], rel_tol=1e-15)
+
+
+def test_config_format_is_checked_under_explicit_flag(tmp_path, capsys):
+    # a config value is checked when the file is read, even where a flag wins
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    argv = ["variance", "--mu", "1", "--rho", "1", "--tau-max", "3", "--config", str(cfg)]
+    assert run([*argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'format'" in captured.err
+
+
+@pytest.mark.parametrize("config", [
+    "mu = 1\nrho = 1\ntau_max = 3\nformat = csv\noutput = {out}\n",
+    json.dumps({"mu": 1.0, "rho": 1.0, "tau_max": 3.0, "format": "csv",
+                "output": "{out}"}),
+])
+def test_config_format_and_output_match_flags(config, tmp_path):
+    # format and output are config keys like any other: same bytes as the flags
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config.replace("{out}", str(from_file)))
+    assert run(["variance", "--config", str(cfg)]) == 0
+    assert run(["variance", "--mu", "1", "--rho", "1", "--tau-max", "3",
+                "--format", "csv", "--output", str(from_flags)]) == 0
+    mask = lambda text: text.rsplit(",", 1)[0]  # the timestamp is the last cell
+    assert mask(from_file.read_text()) == mask(from_flags.read_text())
+    assert from_file.read_text().startswith("mu,rho,tau_max,")

@@ -529,3 +529,14 @@ def test_critical_length_cap_unchanged_by_closed_form():
     with pytest.raises(BracketError, match="critical length root not bracketable") as err:
         critical_length(past, a)
     assert err.value.scanned == (1e6, 1e100)
+
+
+def test_damping_time_that_underflows_raises():
+    # the root tau is positive, but tau times the time unit m a^2 / hbar
+    # underflows to 0 s: no damping time is representable
+    pair = make_params(5.02e93, 5.48e-133, 2.0988e-22, 1.0)
+    th = Threshold(variance_threshold=72.5)
+    with pytest.raises(OverflowError, match="damping time underflows"):
+        damping_time(pair, th)
+    with pytest.raises(OverflowError, match="short-time damping time underflows"):
+        damping_time_short(pair, threshold=th.variance_threshold)

@@ -317,3 +317,8 @@ def test_roots_request_only_the_high_order_rules(rule_orders):
             damping_time(make_params(m, a, rho * a, 1.0))
         critical_length(m, a)
     assert set(rule_orders) == {28, 10}
+
+
+def test_small_rho_series_that_sums_to_zero_at_largest_mu():
+    # 4 mu overflows from mu = 4.4e307; times a zero sum that gave NaN
+    assert phase_variance(_d(1e308, 1e-170, 1.0)).total == 0.0

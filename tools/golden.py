@@ -8,14 +8,15 @@ Runs each argv below as ``python -m gravphase`` in a fresh process against
 the checkout at ``--repo`` (default: this repository), in an empty working
 directory that holds only the config files the list needs. It writes one
 JSON object, one line per call: ``{argv: [exit code, sha256 of stdout,
-stderr]}``, with every ISO timestamp in stdout masked first. A ``diff`` of
-two files therefore names exactly the calls whose output, exit code or
-message changed. The list covers the README's command-line block, CSV
-variants, config-file runs, ``--help`` for the top level and each
-subcommand, and the usage and numerical error paths. It then runs each
-``demos/*.py`` script of the checkout the same way, keyed by its path, with
-the wall times that demo 05 prints masked; the demos are the only callers
-of some public functions, such as ``sample_field_step``.
+stderr]}``, where stdout is followed by any file the call wrote there and
+every ISO timestamp is masked first. A ``diff`` of two files therefore
+names exactly the calls whose output, exit code or message changed. The
+list covers the README's command-line block, CSV variants, config-file
+runs, ``--help`` for the top level and each subcommand, and the usage and
+numerical error paths. It then runs each ``demos/*.py`` script of the
+checkout the same way, keyed by its path, with the wall times that demo 05
+prints masked; the demos are the only callers of some public functions,
+such as ``sample_field_step``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -31,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_record import ROOT, readme_commands
+from bench_record import ROOT, _env, readme_commands
 
 SUBCOMMANDS = ("variance", "criteria", "sweep", "oracle", "covariance", "simulate")
 SIM = ("simulate", "--mass", "5.5028e-18", "--width", "1e-6", "--separation", "1e-6",
@@ -41,6 +41,9 @@ CONFIGS = {
     "sweep.json": json.dumps({"param": "mass", "start": 1e-16, "stop": 1e-14, "num": 3,
                               "width": 1e-7, "separation": 1e-6}),
     "bad.cfg": "mass = heavy\n",
+    "out.cfg": "mu = 1\nrho = 1\ntau_max = 3\nformat = csv\noutput = out.csv\n",
+    "csv.json": json.dumps({"format": "csv"}),
+    "xml.cfg": "format = xml\n",
 }
 CALLS = [
     # CSV variants and config files
@@ -53,6 +56,8 @@ CALLS = [
     ("covariance", "--grid-n", "32", "--realizations", "100"),
     ("variance", "--config", "flat.cfg"),
     ("sweep", "--config", "sweep.json"),
+    ("variance", "--config", "out.cfg"),
+    ("criteria", "--mass", "1e-14", "--width", "1e-7", "--config", "csv.json"),
     # the micro critical length: closed form (mu = 0.1), root-found just above
     # the crossover (mu = 0.5), and a sweep whose rows cross mu = 0.46
     ("criteria", "--mass", "5.5e-18", "--width", "1e-7", "--separation", "1e-6"),
@@ -70,6 +75,7 @@ CALLS = [
     ("sweep", "--param", "width", "--start", "1e-8", "--stop", "1e-6", "--num", "3",
      "--mass", "1e-15", "--width", "1e-7"),
     ("variance", "--config", "bad.cfg"),
+    ("variance", "--mu", "1", "--rho", "1", "--tau-max", "3", "--config", "xml.cfg"),
     ("variance", "--config", "missing.cfg"),
     ("variance", "--mu", "1", "--rho", "1", "--tau-max", "3", "--format", "xml"),
     ("oracle", "--samples", "100"),
@@ -84,8 +90,13 @@ CALLS = [
     ("sweep", "--param", "mass", "--start", "1e-18", "--stop", "1e-14", "--num", "9",
      "--width", "1e-7"),
     ("criteria", "--mass", "1e-120", "--width", "1"),
+    # a damping time that underflows to 0 s: exit 3
+    ("criteria", "--mass", "5.02e+93", "--width", "5.48e-133", "--separation", "2.0988e-22",
+     "--threshold", "72.5"),
     # the theta-piece factor overflows where the theta piece is empty: exit 0
     ("variance", "--mu", "1e307", "--rho", "100", "--tau-max", "27"),
+    # 4 mu overflows in the small-rho series, the total does not: exit 0
+    ("variance", "--mu", "1e308", "--rho", "0.5", "--tau-max", "1"),
     # (cosh u0)^2 overflows in the closed-form head from rho ~ 1.1e155: exit 0
     ("variance", "--mu", "1", "--rho", "1e160", "--tau-max", "1e300"),
     # the critical length at mu = 1.57e308, where sqrt(2) mu overflows: exit 0
@@ -98,8 +109,7 @@ _ELAPSED = re.compile(r"\[\d+\.\d s, ")
 
 
 def golden(repo: Path) -> dict[str, list]:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p))
+    env = _env(repo)
     out = {}
     with tempfile.TemporaryDirectory() as cwd:
         for name, text in CONFIGS.items():
@@ -111,7 +121,12 @@ def golden(repo: Path) -> dict[str, list]:
         for key, args in runs:
             proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                                   capture_output=True, text=True, timeout=600)
-            stdout = _ELAPSED.sub("[<elapsed> s, ", _TIMESTAMP.sub("<timestamp>", proc.stdout))
+            stdout = proc.stdout
+            for path in sorted(Path(cwd).iterdir()):
+                if path.name not in CONFIGS:
+                    stdout += path.read_text(encoding="utf-8")
+                    path.unlink()
+            stdout = _ELAPSED.sub("[<elapsed> s, ", _TIMESTAMP.sub("<timestamp>", stdout))
             out[key] = [proc.returncode, hashlib.sha256(stdout.encode()).hexdigest(),
                         proc.stderr]
     return out
