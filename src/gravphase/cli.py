@@ -32,7 +32,7 @@ import math
 import sys
 from datetime import datetime, timezone
 
-from . import __version__
+from . import _LAZY, __version__
 from .criteria import (
     BracketError,
     Threshold,
@@ -49,30 +49,22 @@ from .variance import phase_variance
 
 __all__ = ["run", "emit", "console_entry"]
 
-# names the stochastic subcommands take from noisefield and oracle, which
-# import numpy: they are bound from the package, which imports them on
-# first access, so the scalar subcommands start without numpy
-_STOCHASTIC = (
-    "FieldGrid", "measured_covariance", "min_box_length", "simulate_phase_variance",
-    "erf_identity_check", "i4_closed_form", "i6_closed_form", "mc_i4_spatial",
-    "mc_i6_spatial", "sn_cancellation_check",
-)
-
 
 def _bind_stochastic() -> None:
-    """Bind every stochastic name into this module's globals.
+    """Bind every name the package loads lazily into this module's globals.
 
+    Those names import numpy, so only the stochastic subcommands bind them.
     A name that is already bound keeps its value, so a wrapper set on this
     module before the first call (a tracer's, a test's) stays in place.
     """
     package, g = sys.modules[__package__], globals()
-    for name in _STOCHASTIC:
+    for name in _LAZY:
         g.setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str):
     # getattr(cli, name) before the name's first use, as a wrapper does
-    if name in _STOCHASTIC:
+    if name in _LAZY:
         _bind_stochastic()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -204,9 +204,10 @@ def _check_positive(**values: float) -> None:
 
 
 def _seconds(t: float, what: str, p: PacketPair) -> float:
-    """A time t > 0 [s]; OverflowError where it underflowed to 0."""
-    if t == 0.0:
-        raise OverflowError(f"{what} underflows to 0 s at m = {p.m}, a = {p.a}, R = {p.R}")
+    """A time t > 0 [s]; OverflowError where it underflowed to 0 or overflowed."""
+    if t == 0.0 or t == math.inf:
+        how = "underflows to 0 s" if t == 0.0 else "overflows"
+        raise OverflowError(f"{what} {how} at m = {p.m}, a = {p.a}, R = {p.R}")
     return t
 
 
@@ -267,14 +268,15 @@ def damping_time_short(
     the root-found ``damping_time`` at the same threshold.
 
     R = 0 returns math.inf: coincident packets never decohere. A time that
-    underflows to 0 raises OverflowError.
+    underflows to 0 or overflows raises OverflowError.
     """
+    if p.R == 0:
+        return math.inf
     # the bracket is sqrt(2/pi) I(b) / (a b), b = R / sqrt(2) a, I the variance integrand
     b = p.R / p.a / math.sqrt(2.0)
     bracket = math.sqrt(2.0 / math.pi) * (b * _I_over_beta2(b)) / p.a
-    if bracket == 0.0:
-        return math.inf
-    t = constants.hbar / (constants.G * p.m**2) / bracket
+    # a bracket that underflows to 0 leaves a time too long to represent
+    t = constants.hbar / (constants.G * p.m**2) / bracket if bracket else math.inf
     if threshold is not None:
         t *= threshold / 2.0
     return _seconds(t, "short-time damping time", p)

@@ -103,9 +103,7 @@ class VarianceBreakdown:
     total: float
     # the point, and the high-order u and theta sums of the split (0.0 where
     # no rule ran)
-    _mu: float = field(repr=False)
-    _rho: float = field(repr=False)
-    _tau_max: float = field(repr=False)
+    _d: DimensionlessParams = field(repr=False)
     _mid: float = field(repr=False)
     _tail: float = field(repr=False)
 
@@ -113,14 +111,15 @@ class VarianceBreakdown:
     def quadrature_error_estimate(self) -> float:
         """Estimated absolute quadrature error of ``total``."""
         rounding = _ROUNDING * abs(self.total)
-        if self._rho <= _RHO_SERIES_MAX:
+        d = self._d
+        if d.rho <= _RHO_SERIES_MAX:
             return rounding
-        _, mid, tail = _split(self._rho, self._tau_max, *_LOW_RULES)
-        if mid is None:  # the closed-form head alone
-            return rounding
-        pref, pref_tail = _prefactors(self._mu, self._rho)
+        _, mid, tail = _split(d.rho, d.tau_max, *_LOW_RULES)
+        pref, pref_tail = _prefactors(d.mu, d.rho)
+        # an empty piece adds nothing, even where its factor overflows
+        u = pref * abs(self._mid - mid) if mid else 0.0
         theta = pref_tail * abs(self._tail - tail) if tail else 0.0
-        return pref * abs(self._mid - mid) + theta + rounding
+        return u + theta + rounding
 
 
 def i7(d: DimensionlessParams) -> float:
@@ -226,21 +225,15 @@ def phase_variance(d: DimensionlessParams) -> VarianceBreakdown:
     """
     v7 = i7(d)
     mid = tail = 0.0
-    if d.rho == 0.0:
-        total = 0.0
-    elif d.rho <= _RHO_SERIES_MAX:
+    if d.rho <= _RHO_SERIES_MAX:  # 0.0 exactly at rho = 0
         total = _total_series(d.mu, d.rho, d.tau_max)
     else:
         pref, pref_tail = _prefactors(d.mu, d.rho)
         head, mid, tail = _split(d.rho, d.tau_max, *_RULES)
-        if mid is None:  # the closed-form head alone
-            total = pref * head
-            mid = tail = 0.0
-        else:
-            # an empty theta piece adds nothing, even where pref_tail overflows
-            total = pref * (head + mid) + (pref_tail * tail if tail else 0.0)
+        # an empty theta piece adds nothing, even where pref_tail overflows
+        total = pref * (head + mid) + (pref_tail * tail if tail else 0.0)
     total = max(total, 0.0)
-    return VarianceBreakdown(v7, v7 - total, total, d.mu, d.rho, d.tau_max, mid, tail)
+    return VarianceBreakdown(v7, v7 - total, total, d, mid, tail)
 
 
 def _prefactors(mu: float, rho: float) -> tuple[float, float]:
@@ -253,13 +246,11 @@ def _prefactors(mu: float, rho: float) -> tuple[float, float]:
 
 
 def _split(rho: float, tau_max: float, n_u: int, n_theta: int
-           ) -> tuple[float, float | None, float | None]:
+           ) -> tuple[float, float, float]:
     """The pieces of the integral for rho > sqrt(2)/2, before their factors.
 
     Returns the closed-form head, the sum of the n_u-point u rule and that
-    of the n_theta-point theta rule (0.0 where that piece is empty). Where
-    beta >= 6 all the way to tau_max the head is the whole integral and
-    both sums are None.
+    of the n_theta-point theta rule, 0.0 for each piece that is empty.
     """
     r = rho / math.sqrt(2.0)
     u_max = math.asinh(tau_max)
@@ -269,7 +260,7 @@ def _split(rho: float, tau_max: float, n_u: int, n_theta: int
     sh0 = ch0 if ch0 > 1e150 else math.sqrt((ch0 - 1.0) * (ch0 + 1.0))
     u0 = math.acosh(ch0)
     if u_max <= u0:
-        return r * u_max - _HALF_SQRT_PI * tau_max, None, None
+        return r * u_max - _HALF_SQRT_PI * tau_max, 0.0, 0.0
     head = r * u0 - _HALF_SQRT_PI * sh0
     u_small = math.acosh(r / _BETA_SMALL)
     width = min(u_max, u_small) - u0

@@ -697,3 +697,22 @@ def test_config_format_and_output_match_flags(config, tmp_path):
     mask = lambda text: text.rsplit(",", 1)[0]  # the timestamp is the last cell
     assert mask(from_file.read_text()) == mask(from_flags.read_text())
     assert from_file.read_text().startswith("mu,rho,tau_max,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["criteria", "--mass", "1e-14", "--width", "1e-7", "--separation", "1e-300"],
+    ["criteria", "--mass", "1e-25", "--width", "1e100", "--separation", "1e-100"],
+])
+def test_short_damping_time_overflow_is_numerical_failure(argv, capsys):
+    # null is kept for R = 0; a time too long for a double exits 3
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: short-time damping time overflows")
+
+
+def test_cli_binds_every_lazy_name_from_the_package():
+    from gravphase import _LAZY, cli
+
+    for name in _LAZY:
+        assert getattr(cli, name) is getattr(gravphase, name), name

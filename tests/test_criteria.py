@@ -540,3 +540,12 @@ def test_damping_time_that_underflows_raises():
         damping_time(pair, th)
     with pytest.raises(OverflowError, match="short-time damping time underflows"):
         damping_time_short(pair, threshold=th.variance_threshold)
+
+
+@pytest.mark.parametrize("m, a, R", [(1e-14, 1e-7, 1e-300), (1e-25, 1e100, 1e-100)])
+def test_short_damping_time_that_overflows_raises(m, a, R):
+    # the true times are about 1e584 s and 1e525 s; inf is kept for R = 0
+    pair = make_params(m, a, R, 1.0)
+    with pytest.raises(OverflowError, match="short-time damping time overflows"):
+        damping_time_short(pair)
+    assert damping_time_short(make_params(m, a, 0.0, 1.0)) == math.inf

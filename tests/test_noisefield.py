@@ -433,3 +433,12 @@ def test_forked_child_starts_its_own_pool():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_unit_half_spectrum_is_positive_with_no_lift(n):
+    from gravphase.noisefield import _unit_half_spectrum
+
+    # dx only scales the spectrum, whose minimum tends to about 0.5585 / dx
+    for dx in (1e-300, 1.0, 1e300):
+        assert 0.558 <= _unit_half_spectrum(n, dx).min() * dx <= 0.560, dx

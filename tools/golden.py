@@ -93,6 +93,12 @@ CALLS = [
     # a damping time that underflows to 0 s: exit 3
     ("criteria", "--mass", "5.02e+93", "--width", "5.48e-133", "--separation", "2.0988e-22",
      "--threshold", "72.5"),
+    # a short-time damping time that overflows: exit 3
+    ("criteria", "--mass", "1e-14", "--width", "1e-7", "--separation", "1e-300"),
+    ("criteria", "--mass", "1e-25", "--width", "1e100", "--separation", "1e-100"),
+    # rho = 0, and the closed-form head alone (beta >= 6 up to tau_max): exit 0
+    ("variance", "--mu", "1", "--rho", "0", "--tau-max", "3"),
+    ("variance", "--mu", "1", "--rho", "100", "--tau-max", "1"),
     # the theta-piece factor overflows where the theta piece is empty: exit 0
     ("variance", "--mu", "1e307", "--rho", "100", "--tau-max", "27"),
     # 4 mu overflows in the small-rho series, the total does not: exit 0
