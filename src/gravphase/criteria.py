@@ -276,7 +276,16 @@ def damping_time_short(
     b = p.R / p.a / math.sqrt(2.0)
     bracket = math.sqrt(2.0 / math.pi) * (b * _I_over_beta2(b)) / p.a
     # a bracket that underflows to 0 leaves a time too long to represent
-    t = constants.hbar / (constants.G * p.m**2) / bracket if bracket else math.inf
+    try:
+        t = constants.hbar / (constants.G * p.m**2) / bracket if bracket else math.inf
+    except (OverflowError, ZeroDivisionError):
+        # G m^2 left the double range: take m and the bracket apart into
+        # mantissa and power of two, so only the time itself can leave it
+        (fm, em), (fb, eb) = math.frexp(p.m), math.frexp(bracket)
+        try:
+            t = math.ldexp(constants.hbar / (constants.G * fm * fm) / fb, -2 * em - eb)
+        except OverflowError:
+            t = math.inf
     if threshold is not None:
         t *= threshold / 2.0
     return _seconds(t, "short-time damping time", p)

@@ -34,10 +34,15 @@ same symmetry makes the filter F = ifftn(fftn(.) sqrt(P)) self-adjoint,
 
 which is what the ensemble simulator exploits: each member's phase is
 a sum over steps of <d_s, F w_s> with d_s the density difference of
-the two packets, so F d_s is filtered once per step, shared by every
-member, and a member-step is one Philox draw and one reduction. The
-same filtered grids give the lattice-exact ensemble variance
-mu dtau sum_s ||F d_s||^2 with no sampling at all. The covariance
+the two packets, so F d_s is filtered once per step and shared by every
+member. It never leaves the half spectrum: by Parseval, <F d_s, w_s>
+has the law of <c_s, z> over the independent real coordinates c_s of
+rfftn(F d_s), and z ~ N(0, I). F d_s is a filtered difference of
+Gaussians, so its spectrum falls like exp(-k^2 C1 / 4), and the outer
+|k|^2 shells that together hold no more than 1e-17 of its energy are
+cut. A member-step is then one Philox draw of the kept coordinates and
+one reduction, and mu dtau sum_s ||c_s||^2 is the lattice-exact
+ensemble variance, with no sampling at all. The covariance
 estimator likewise needs only |rfftn(w)|^2 P, reduced to its three axis
 marginals and weighted by cos(2 pi k lag / n), never the inverse FFT.
 
@@ -246,11 +251,6 @@ def _half_spectrum(n: int, dx: float, constants: PhysicalConstants) -> np.ndarra
     return constants.hbar * constants.G * _unit_half_spectrum(n, dx)
 
 
-def _filter(x: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """ifftn(fftn(x) amp).real for real x and a real, even amp given by its half."""
-    return np.fft.irfftn(np.fft.rfftn(x, axes=_AXES) * amp, s=x.shape, axes=_AXES)
-
-
 def sample_field_step(
     grid: FieldGrid,
     member: int,
@@ -271,7 +271,8 @@ def sample_field_step(
     if zero_mean:
         amp[0, 0, 0] = 0.0
     w = stream(grid.seed, _TAG_FIELD, member, step).standard_normal((grid.n,) * 3)
-    return _filter(w, amp) / math.sqrt(grid.dt)
+    phi = np.fft.irfftn(np.fft.rfftn(w, axes=_AXES) * amp, s=w.shape, axes=_AXES)
+    return phi / math.sqrt(grid.dt)
 
 
 def measured_covariance(
@@ -441,6 +442,62 @@ def simulate_phase_variance(
     )
 
 
+# the relative energy of the outer |k|^2 shells a step's draw may leave out
+_CUT = 1e-17
+
+
+@functools.cache
+def _spectral_order(n: int) -> tuple[np.ndarray, ...]:
+    """The independent cells of the rfftn half spectrum, cached per n.
+
+    On the planes kz = 0 and n/2 a cell holds the conjugate of its mirror
+    ((-kx) mod n, (-ky) mod n); of the two, the one with the lower flat
+    index kx n + ky is kept. Returns, as int32 arrays, ``order``: the kept
+    cells' flat indices, stably sorted by |k|^2; ``label``: the |k|^2 of
+    every cell, which labels its shell; ``starts``: where the shell
+    |k|^2 = j begins in ``order`` for j = 0 .. max |k|^2 + 1, the last
+    being its length; ``real``: the positions in ``order`` of the 8
+    self-conjugate cells (kx, ky, kz in {0, n/2}).
+    """
+    h = n // 2 + 1
+    i = np.arange(n, dtype=np.int32)
+    k = np.where(i < n // 2, i, i - n)  # signed frequency of index i
+    k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + i[:h] ** 2).ravel()
+    flat = i[:, None] * n + i  # flat (kx, ky) index of a plane cell
+    keep = np.ones((n, n, h), dtype=bool)
+    keep[:, :, 0] = keep[:, :, -1] = flat <= flat[-i % n][:, -i % n]
+    cells = np.flatnonzero(keep).astype(np.int32)
+    order = cells[np.argsort(k2[cells], kind="stable")]
+    starts = np.searchsorted(k2[order], np.arange(k2.max() + 2)).astype(np.int32)
+    edge = i % (n // 2) == 0
+    real = np.flatnonzero((edge[:, None, None] & edge[:, None] & edge[:h]).ravel()[order])
+    return order, k2, starts, real.astype(np.int32)
+
+
+def _coordinates(gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept cells and coordinates c of the half spectrum gh of a real g.
+
+    <g, w> over n^3 iid standard normals w has the law of <c, z>, z ~ N(0, I)
+    (Parseval): each kept cell gives Re, then Im, weighted sqrt(2/N), and a
+    self-conjugate one Re alone, weighted sqrt(1/N). The longest run of
+    outer |k|^2 shells holding at most ``_CUT`` of ||g||^2 is left out, so
+    the cells are a prefix of ``order``.
+    """
+    n = gh.shape[0]
+    order, label, starts, real = _spectral_order(n)
+    e = np.square(gh.real)
+    e += np.square(gh.imag)
+    e[:, :, 1 : n // 2] *= 2.0  # an inner kz stands for itself and its mirror
+    tail = np.cumsum(np.bincount(label, weights=e.ravel())[::-1])[::-1]
+    cells = order[: starts[np.count_nonzero(tail > _CUT * tail[0])]]
+    c = gh.ravel()[cells].view(np.float64)
+    re = 2 * real[real < cells.size]
+    own = c[re] * math.sqrt(1.0 / n**3)
+    c *= math.sqrt(2.0 / n**3)
+    c[re] = own
+    return cells, np.delete(c, re + 1)
+
+
 def _ensemble(
     p: PacketPair,
     grid: FieldGrid,
@@ -452,9 +509,11 @@ def _ensemble(
 
     Member ``mem``'s phase is -sqrt(mu dtau) sum_s <g_s, w_s> with
     g_s = F d_s the filtered density difference of step s (the adjoint
-    form of <d_s, F w_s>) and w_s the n^3 normals of stream (mem, s);
-    since the w_s are iid standard normals the phases are Gaussian with
-    variance mu dtau sum_s ||g_s||^2.
+    form of <d_s, F w_s>) and w_s white noise, drawn as <c_s, z_s> with
+    c_s = ``_coordinates(rfftn(d_s) sqrt(P))`` and z_s the first len(c_s)
+    normals of stream (mem, s). The cut depends on g_s alone, never on the
+    seed or the worker count, and one more shell only lengthens the draw.
+    The phases are Gaussian with variance mu dtau sum_s ||c_s||^2.
     """
     d = nondimensionalize(p, constants)
     horizon = grid.n_steps * grid.dt
@@ -476,24 +535,26 @@ def _ensemble(
     c_lo = (half - d.rho / 2.0, half, half)
     c_hi = (half + d.rho / 2.0, half, half)
 
-    # filtered density differences per step, shared by all members
+    # coordinates of the filtered density difference per step, shared by all members
     amp = np.sqrt(_half_spectrum(n, box / n, NATURAL))
-    gs = []
+    cs = []
     for s in range(grid.n_steps):
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
         dd = (_density_grid(n, box, c_lo, c1) - _density_grid(n, box, c_hi, c1)) * cell
-        gs.append(_filter(dd, amp).ravel())
+        gh = np.fft.rfftn(dd)
+        gh *= amp
+        cs.append(_coordinates(gh)[1])
 
     mu_dtau = d.mu * dtau
     scale = math.sqrt(mu_dtau)
 
     def member_phase(mem: int) -> float:
         acc = 0.0
-        for s, g in enumerate(gs):
-            w = stream(grid.seed, _TAG_SIM, mem, s).standard_normal(g.size)
-            acc += float(np.multiply(g, w, out=w).sum())
+        for s, c in enumerate(cs):
+            z = stream(grid.seed, _TAG_SIM, mem, s).standard_normal(c.size)
+            acc += float(np.multiply(c, z, out=z).sum())
         return -scale * acc
 
     phases = np.array(parallel_map(member_phase, range(n_members), workers=workers))
-    lattice = mu_dtau * math.fsum(float(np.square(g).sum()) for g in gs)
+    lattice = mu_dtau * math.fsum(float(np.square(c).sum()) for c in cs)
     return phases, lattice

@@ -549,3 +549,19 @@ def test_short_damping_time_that_overflows_raises(m, a, R):
     with pytest.raises(OverflowError, match="short-time damping time overflows"):
         damping_time_short(pair)
     assert damping_time_short(make_params(m, a, 0.0, 1.0)) == math.inf
+
+
+@pytest.mark.parametrize("m, how", [(1e-200, "overflows"), (1e200, "underflows")])
+def test_short_damping_time_with_mass_squared_out_of_range_raises(m, how):
+    # m^2 underflows to 0 (ZeroDivisionError) or overflows (OverflowError)
+    # before any range check; the times are about 1e377 s and 1e-423 s
+    with pytest.raises(OverflowError, match=f"short-time damping time {how}"):
+        damping_time_short(make_params(m, 1e-7, 1e-6, 1.0))
+
+
+def test_short_damping_time_with_mass_squared_out_of_range_is_finite_where_the_time_is():
+    # m^2 underflows, but a width of 1e-300 m brings the time back in range:
+    # at R = a the time goes as a / m^2, which is 1e100 in both calls
+    t = damping_time_short(make_params(1e-200, 1e-300, 1e-300, 1.0))
+    ref = damping_time_short(make_params(1e-100, 1e-100, 1e-100, 1.0))
+    assert math.isclose(t, ref, rel_tol=1e-14)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gravphase
+from gravphase import noisefield
 from gravphase.noisefield import (
     CUBE_SELF_CONSTANT,
     ConfigurationError,
@@ -23,7 +24,9 @@ from gravphase.noisefield import (
     smeared_potential,
     stream,
 )
-from gravphase.noisefield import _TAG_SIM, _density_grid, _ensemble, _unit_spectrum
+from gravphase.noisefield import (
+    _CUT, _TAG_SIM, _coordinates, _density_grid, _ensemble, _spectral_order, _unit_spectrum,
+)
 from gravphase.packets import GaussianPacket
 from gravphase.units import CODATA2018, NATURAL, make_params, nondimensionalize
 from gravphase.variance import phase_variance
@@ -215,9 +218,28 @@ def test_simulate_preconditions():
         simulate_phase_variance(pair, small_box, 64)
 
 
+def _drawn_white_field(cells, z, n):
+    """The real white field whose rfftn coordinates at ``cells`` are z.
+
+    z holds Re, then Im, of each cell in turn, with Re alone at the
+    self-conjugate cells; it is scaled back to the coefficients of white
+    noise (E |W_k|^2 = n^3) and every mirror is filled in; every other
+    mode is zero.
+    """
+    ix, iy, iz = np.unravel_index(cells, (n, n, n // 2 + 1))
+    own = (ix % (n // 2) == 0) & (iy % (n // 2) == 0) & (iz % (n // 2) == 0)
+    re = 2 * np.arange(cells.size) - (np.cumsum(own) - own)  # where each cell's Re is
+    im = np.where(own, 0.0, z[np.minimum(re + 1, z.size - 1)])
+    big = np.zeros((n, n, n), dtype=complex)
+    big[ix, iy, iz] = np.where(own, math.sqrt(n**3), math.sqrt(n**3 / 2)) * (z[re] + 1j * im)
+    big[-ix % n, -iy % n, -iz % n] = np.conj(big[ix, iy, iz])
+    return np.fft.ifftn(big).real
+
+
 def test_member_phase_matches_unfiltered_dot():
-    # adjoint identity <d, F w> = <F d, w>: filtering each step's density
-    # difference once gives the phase of filtering every member's noise
+    # adjoint identity <d, F w> = <F d, w>: drawing each step's filtered
+    # density difference in its spectral coordinates gives the phase of
+    # filtering the white field w that member 0's normals stand for
     pair = _pair(1.0, 1.0, 0.5)
     grid = _grid_for(pair, n=32, steps=2, seed=3)
     phases, _ = _ensemble(pair, grid, 1)
@@ -231,7 +253,9 @@ def test_member_phase_matches_unfiltered_dot():
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
         lo = _density_grid(n, box, (half - d.rho / 2.0, half, half), c1)
         hi = _density_grid(n, box, (half + d.rho / 2.0, half, half), c1)
-        w = stream(grid.seed, _TAG_SIM, 0, s).standard_normal((n, n, n))
+        cells, c = _coordinates(np.fft.rfftn((lo - hi) * (box / n) ** 3) * amp[:, :, : n // 2 + 1])
+        z = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(c.size)
+        w = _drawn_white_field(cells, z, n)
         phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
         acc += float(np.dot(((lo - hi) * (box / n) ** 3).ravel(), phi.ravel()))
     old = -math.sqrt(d.mu * dtau) * acc
@@ -246,6 +270,91 @@ def test_lattice_variance_is_the_ensemble_expectation():
     # same grid, so the continuum value differs only by discretization bias
     target = phase_variance(nondimensionalize(pair)).total
     assert abs(ens.lattice_variance / target - 1.0) < 0.05
+
+
+def _differences(pair, grid):
+    """Each step's density difference on the grid, in units of a, as _ensemble forms it."""
+    d = nondimensionalize(pair)
+    n, box = grid.n, grid.box_length / pair.a
+    dtau = d.tau_max / grid.n_steps
+    half = box / 2.0
+    for s in range(grid.n_steps):
+        c1 = 1.0 + ((s + 0.5) * dtau) ** 2
+        lo = _density_grid(n, box, (half - d.rho / 2.0, half, half), c1)
+        hi = _density_grid(n, box, (half + d.rho / 2.0, half, half), c1)
+        yield (lo - hi) * (box / n) ** 3
+
+
+# (mu, rho, tau_max, n, steps): the two geometries of acceptance test c12
+# and the field_ensemble benchmark slot (rho, tau) = (2, 0.25)
+_SPECTRAL_CASES = [(1.0, 1.0, 0.1, 64, 8), (1.0, 1.0, 3.0, 64, 30), (1.0, 2.0, 0.25, 32, 1)]
+
+
+@pytest.mark.parametrize("mu, rho, tau_max, n, steps", _SPECTRAL_CASES)
+def test_lattice_variance_matches_real_space_filter(mu, rho, tau_max, n, steps):
+    # mu dtau sum_s ||F d_s||^2 with F d_s formed in real space by irfftn,
+    # against the kept spectral coordinates the ensemble draws
+    pair = _pair(mu, rho, tau_max)
+    grid = _grid_for(pair, n=n, steps=steps)
+    box = grid.box_length / pair.a
+    amp = np.sqrt(_unit_spectrum(n, box / n))[:, :, : n // 2 + 1]
+    norms = [
+        float(np.square(np.fft.irfftn(np.fft.rfftn(dd) * amp, s=dd.shape, axes=(0, 1, 2))).sum())
+        for dd in _differences(pair, grid)
+    ]
+    d = nondimensionalize(pair)
+    real_space = d.mu * d.tau_max / steps * math.fsum(norms)
+    assert abs(_ensemble(pair, grid, 0)[1] / real_space - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("mu, rho, tau_max, n, steps", _SPECTRAL_CASES)
+def test_kept_cells_are_a_whole_shell_prefix(mu, rho, tau_max, n, steps):
+    # the cut keeps whole |k|^2 shells of the cached order, and leaves out
+    # the longest run of outer shells that holds at most _CUT of the energy,
+    # here summed by shell over the full fftn spectrum
+    pair = _pair(mu, rho, tau_max)
+    grid = _grid_for(pair, n=n, steps=steps)
+    box = grid.box_length / pair.a
+    amp = np.sqrt(_unit_spectrum(n, box / n))
+    order, _, starts, _ = _spectral_order(n)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k**2).astype(int)
+    dd = next(_differences(pair, grid))
+    energy = np.bincount(k2.ravel(), weights=np.abs(np.fft.fftn(dd) * amp).ravel() ** 2)
+    cells, _ = _coordinates(np.fft.rfftn(dd) * amp[:, :, : n // 2 + 1])
+    assert cells.size in starts
+    assert np.array_equal(cells, order[: cells.size])
+    kmax = int(k2[np.unravel_index(cells[-1], (n, n, n // 2 + 1))])
+    dropped = energy[kmax + 1 :].sum()
+    assert dropped <= _CUT * energy.sum() < dropped + energy[kmax]
+    if n == 64 and tau_max < 1.0:
+        assert cells.size < order.size // 10  # the cut leaves out most cells
+    # a field with no energy keeps nothing
+    cells, c = _coordinates(np.zeros((n, n, n // 2 + 1), dtype=complex))
+    assert cells.size == c.size == 0
+
+
+def test_coordinates_hold_the_norm_of_any_real_field():
+    # white noise has a flat spectrum, so nothing is cut and every
+    # coordinate, the self-conjugate ones too, carries its share
+    x = np.random.default_rng(17).standard_normal((32, 32, 32))
+    cells, c = _coordinates(np.fft.rfftn(x))
+    assert cells.size == _spectral_order(32)[0].size and c.size == x.size
+    assert abs(float(np.square(c).sum()) / float(np.square(x).sum()) - 1.0) <= 1e-14
+
+
+def test_member_draw_prefix_is_independent_of_the_kept_count(monkeypatch):
+    full = stream(5, _TAG_SIM, 3, 2).standard_normal(4096)
+    for k in (0, 1, 7, 1000, 4095):
+        assert np.array_equal(stream(5, _TAG_SIM, 3, 2).standard_normal(k), full[:k])
+    # so a shorter draw moves each phase only by the left-out energy's share
+    pair = _pair(1.0, 1.0, 0.1)
+    grid = _grid_for(pair, n=32, steps=2, seed=9)
+    phases, lattice = _ensemble(pair, grid, 64)
+    monkeypatch.setattr(noisefield, "_CUT", 1e-10)
+    cut, _ = _ensemble(pair, grid, 64)
+    assert not np.array_equal(cut, phases)
+    assert np.abs(cut - phases).max() <= 1e-4 * math.sqrt(lattice)
 
 
 _BLAS_SCRIPT = """
