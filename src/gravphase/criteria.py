@@ -224,11 +224,13 @@ def damping_time(
     """Time at which the phase variance reaches the threshold [s].
 
     The variance is strictly increasing and concave in time for rho > 0, so
-    the root is unique and the scan starts at the linear-regime root tau0 =
+    the root is unique. It lies above the linear-regime root tau0 =
     threshold sqrt(pi) / (2 mu rho I(beta0) / beta0^2), beta0 = rho / sqrt(2),
-    which is never above it. If the threshold is not reached by ``t_cap``
-    (the variance saturates once the packets have spread beyond their
-    separation), the cap itself is returned as a "no decoherence" sentinel.
+    and, as I8 >= 0, above sinh(threshold sqrt(pi/8) / mu), where I7 alone
+    reaches the threshold; the scan starts at the larger of the two. If the
+    threshold is not reached by ``t_cap`` (the variance saturates once the
+    packets have spread beyond their separation), the cap itself is
+    returned as a "no decoherence" sentinel.
     A root whose time in seconds underflows to 0 raises OverflowError.
     """
     mu = coupling(p.m, p.a, constants)
@@ -241,12 +243,14 @@ def damping_time(
     if f_cap < 0.0:
         return t_cap
     # divided in this order, no factor overflows before the last division; a
-    # slope that underflows to 0 leaves no bound, and _root raises
+    # slope that underflows to 0 leaves no bound of its own
     slope = rho * _I_over_beta2(rho / math.sqrt(2.0))
     tau0 = target * math.sqrt(math.pi) / 2.0 / mu / slope if slope > 0.0 else 0.0
+    # past 700 the sinh would overflow, and the cap is then the bound
+    tau_i7 = math.sinh(min(target * math.sqrt(math.pi / 8.0) / mu, 700.0))
     # the scan may end at the cap, whose value is already known
     f = lambda tau: f_cap if tau == tau_cap else _total(mu, rho, tau) - target
-    tau = _root(f, min(tau0, tau_cap), tau_cap, "damping time")
+    tau = _root(f, min(max(tau0, tau_i7), tau_cap), tau_cap, "damping time")
     return _seconds(tau * t_unit, "damping time", p)
 
 

@@ -43,8 +43,9 @@ Gaussians, so its spectrum falls like exp(-k^2 C1 / 4), and the outer
 cut. A member-step is then one Philox draw of the kept coordinates and
 one reduction, and mu dtau sum_s ||c_s||^2 is the lattice-exact
 ensemble variance, with no sampling at all. The covariance
-estimator likewise needs only |rfftn(w)|^2 P, reduced to its three axis
-marginals and weighted by cos(2 pi k lag / n), never the inverse FFT.
+estimator needs only |rfftn(w)|^2 P, reduced to its three axis marginals
+and weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 / n^3
+straight from its law, one exponential per cell, and makes no field.
 
 Every random draw in the package, here and in the oracle, comes from
 ``stream``: a Philox generator keyed by (seed, domain tag) with counter
@@ -251,6 +252,18 @@ def _half_spectrum(n: int, dx: float, constants: PhysicalConstants) -> np.ndarra
     return constants.hbar * constants.G * _unit_half_spectrum(n, dx)
 
 
+def _plane_multiplicity(n: int) -> np.ndarray:
+    """How many cells each cell stands for on the planes kz = 0 and n/2.
+
+    There a cell holds the conjugate of its mirror ((-kx) mod n, (-ky) mod n):
+    of the two, the one with the lower flat index kx n + ky counts 2 and the
+    other 0; a cell that is its own mirror counts 1. An (n, n) int array.
+    """
+    i = np.arange(n)
+    flat = i[:, None] * n + i
+    return 1 + np.sign(flat[-i % n][:, -i % n] - flat)
+
+
 def sample_field_step(
     grid: FieldGrid,
     member: int,
@@ -292,16 +305,19 @@ def measured_covariance(
     standard error taken across realizations. Targets are hbar G / r at
     the snapped separations.
 
-    The autocorrelation at lag l along x is n^-6 sum_k S(k) cos(2 pi kx l / n)
-    with S = |fftn(w)|^2 P, so each realization needs only one rfftn and
-    the axis marginals of S over the half spectrum, where every kz other
-    than 0 and n/2 stands for itself and its mirror.
+    The autocorrelation at lag l along x is n^-3 sum_k e_k P(k)
+    cos(2 pi kx l / n), e = |fftn(w)|^2 / n^3 for white normals w, and e
+    has an exact law on the half spectrum: Exp(1) per independent cell,
+    chi^2_1 at the 8 self-conjugate ones (kx, ky, kz in {0, n/2}). So a
+    realization draws one exponential per cell, then 8 normals whose
+    squares replace the self-conjugate cells, and no field. A cell weighs
+    the cells it stands for, 2 at an inner kz and ``_plane_multiplicity``
+    on the planes kz = 0 and n/2: the cosine weights are even.
 
     Realizations run on ``default_workers()`` threads (GRAVPHASE_THREADS
-    sets the count), each drawing stream (seed, m) into buffers of its own,
-    about 2 n^3 doubles (4 MB at n = 64), freed when the call returns; the
-    rows are reduced in realization order, so the result is bit-identical
-    for any worker count.
+    sets the count), each drawing stream (seed, m) into an array the size
+    of the half spectrum; the rows are reduced in realization order, so the
+    result is bit-identical for any worker count.
     """
     if n_realizations < 100:
         raise ValueError(f"need at least 100 realizations, got {n_realizations}")
@@ -318,23 +334,15 @@ def measured_covariance(
     n = grid.n
     p = _half_spectrum(n, dx, constants)
     p[:, :, 1 : n // 2] *= 2.0  # mirror multiplicity
+    p[:, :, :: n // 2] *= _plane_multiplicity(n)[:, :, None]
     cos_x = np.cos(2.0 * math.pi * (np.outer(lags, np.arange(n)) % n) / n)
     cos_z = cos_x[:, : n // 2 + 1]
-    norm = 3.0 * float(n) ** 6
-
-    scratch = threading.local()  # each thread's buffers, for this call only
+    norm = 3.0 * float(n) ** 3
 
     def realization(m: int) -> np.ndarray:
-        if not hasattr(scratch, "w"):
-            scratch.w = np.empty((n, n, n))
-            scratch.wh = np.empty((n, n, n // 2 + 1), dtype=complex)
-        w, wh = scratch.w, scratch.wh
-        stream(grid.seed, _TAG_COV, m).standard_normal(out=w)
-        np.fft.rfftn(w, axes=_AXES, out=wh)
-        s = w.reshape(-1)[: wh.size].reshape(wh.shape)  # w is spent: reuse it
-        re = wh.real
-        np.square(re, out=s)
-        s += np.square(wh.imag, out=re)
+        g = stream(grid.seed, _TAG_COV, m)
+        s = g.standard_exponential(p.shape)
+        s[:: n // 2, :: n // 2, :: n // 2] = np.square(g.standard_normal((2, 2, 2)))
         s *= p
         s_xy = s.sum(axis=2)
         # x and y marginals share their cosine weights
@@ -450,10 +458,9 @@ _CUT = 1e-17
 def _spectral_order(n: int) -> tuple[np.ndarray, ...]:
     """The independent cells of the rfftn half spectrum, cached per n.
 
-    On the planes kz = 0 and n/2 a cell holds the conjugate of its mirror
-    ((-kx) mod n, (-ky) mod n); of the two, the one with the lower flat
-    index kx n + ky is kept. Returns, as int32 arrays, ``order``: the kept
-    cells' flat indices, stably sorted by |k|^2; ``label``: the |k|^2 of
+    On the planes kz = 0 and n/2 only the cells that ``_plane_multiplicity``
+    counts are kept. Returns, as int32 arrays, ``order``: the kept cells'
+    flat indices, stably sorted by |k|^2; ``label``: the |k|^2 of
     every cell, which labels its shell; ``starts``: where the shell
     |k|^2 = j begins in ``order`` for j = 0 .. max |k|^2 + 1, the last
     being its length; ``real``: the positions in ``order`` of the 8
@@ -463,9 +470,8 @@ def _spectral_order(n: int) -> tuple[np.ndarray, ...]:
     i = np.arange(n, dtype=np.int32)
     k = np.where(i < n // 2, i, i - n)  # signed frequency of index i
     k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + i[:h] ** 2).ravel()
-    flat = i[:, None] * n + i  # flat (kx, ky) index of a plane cell
     keep = np.ones((n, n, h), dtype=bool)
-    keep[:, :, 0] = keep[:, :, -1] = flat <= flat[-i % n][:, -i % n]
+    keep[:, :, :: n // 2] = (_plane_multiplicity(n) > 0)[:, :, None]
     cells = np.flatnonzero(keep).astype(np.int32)
     order = cells[np.argsort(k2[cells], kind="stable")]
     starts = np.searchsorted(k2[order], np.arange(k2.max() + 2)).astype(np.int32)

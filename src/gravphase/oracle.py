@@ -63,10 +63,7 @@ __all__ = [
 # fixed batch size; part of the determinism contract, do not tune per run
 _BATCH = 1 << 16
 
-# samples with |scale u - shift e_x| below this many scales are redrawn
-_REDRAW_FLOOR = 1e-12
-
-# each thread's draw buffers (u, _radii's temporary and radii, _BATCH rows),
+# each thread's draw buffers (u, scale u - shift e_x and the radii, _BATCH rows),
 # made on its first batch
 _scratch = threading.local()
 
@@ -141,44 +138,25 @@ def _mean_inv_distance(
     return [_reduce_batches(per_point, n) for per_point in zip(*partials)]
 
 
-def _radii(u: np.ndarray, scale: float, shift: float, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """|scale u - shift e_x| per row, written through w into r."""
-    np.multiply(u, scale, out=w)
-    w[:, 0] -= shift
-    np.einsum("ij,ij->i", w, w, out=r)
-    return np.sqrt(r, out=r)
-
-
 def _inv_distance_batch(
     seed: int, tag: int, batch: int, count: int, points: Sequence[tuple[float, float]]
 ) -> list[tuple[float, float]]:
     """Sum and sum-of-squares of 1/|scale u - shift e_x| over one batch, per point.
 
-    u is ``count`` standard normal 3-vectors. Samples closer than
-    _REDRAW_FLOOR scale are redrawn from the same stream: a
-    probability-zero configuration that would otherwise overflow. Which
-    samples those are depends on the point, so each point that needs
-    redraws continues the stream from where the shared draw left it,
-    exactly as it would had it been drawn alone.
+    u is ``count`` standard normal 3-vectors. A sample at the pole itself
+    would make the sums infinite, which callers report as a numerical
+    failure; even within 1e-12 scales of it, its chance is below 3e-37.
     """
     if not hasattr(_scratch, "buffers"):
         _scratch.buffers = (np.empty((_BATCH, 3)), np.empty((_BATCH, 3)), np.empty(_BATCH))
     u, w, r = (a[:count] for a in _scratch.buffers)
-    g = stream(seed, tag, batch=batch)
-    g.standard_normal(out=u)
-    after_draw = g.bit_generator.state
+    stream(seed, tag, batch=batch).standard_normal(out=u)
     sums = []
     for scale, shift in points:
-        _radii(u, scale, shift, w, r)
-        floor = _REDRAW_FLOOR * scale
-        bad = np.flatnonzero(r < floor)
-        if bad.size:
-            g.bit_generator.state = after_draw
-        while bad.size:
-            k = bad.size
-            redraw = g.standard_normal((k, 3))
-            r[bad] = _radii(redraw, scale, shift, np.empty((k, 3)), np.empty(k))
-            bad = np.flatnonzero(r < floor)
+        np.multiply(u, scale, out=w)
+        w[:, 0] -= shift
+        np.einsum("ij,ij->i", w, w, out=r)
+        np.sqrt(r, out=r)
         np.divide(1.0, r, out=r)
         total = float(r.sum())
         np.multiply(r, r, out=r)

@@ -18,11 +18,14 @@ from gravphase.criteria import (
     damping_time,
     damping_time_short,
 )
+from gravphase import noisefield
 from gravphase.noisefield import (
     FieldGrid,
     _ensemble,
+    _unit_spectrum,
     default_workers,
     measured_covariance,
+    sample_field_step,
     simulate_phase_variance,
 )
 from gravphase.oracle import (
@@ -34,7 +37,9 @@ from gravphase.oracle import (
     sn_cancellation_check,
 )
 from gravphase.packets import GaussianPacket, density
-from gravphase.units import CODATA2018, DimensionlessParams, make_params, nondimensionalize
+from gravphase.units import (
+    CODATA2018, NATURAL, DimensionlessParams, make_params, nondimensionalize,
+)
 from gravphase.variance import i7, phase_variance
 
 HBAR = CODATA2018.hbar
@@ -203,6 +208,118 @@ def test_c11_noise_field_covariance():
     assert _report(
         11, "sampled covariance vs hbar G / r", ok,
         f"worst relative deviation {worst:.2%} over r in [4 dx, L/4]",
+    )
+
+
+class _FixedStream:
+    """The same exponentials e and normals z for every realization."""
+
+    def __init__(self, e, z):
+        self.e, self.z = e, z
+
+    def standard_exponential(self, shape):
+        return self.e.reshape(shape).copy()
+
+    def standard_normal(self, shape):
+        return self.z.reshape(shape).copy()
+
+
+def _lag_weights(n, lag):
+    """a_k = P_k (cos kx + cos ky + cos kz) / (3 n^3) over the full spectrum,
+    for unit hbar G: a realization at this lag is sum_k a_k |fftn(w)_k|^2 / n^3."""
+    c = np.cos(2.0 * math.pi * np.arange(n) * lag / n)
+    cosines = c[:, None, None] + c[:, None] + c
+    return _unit_spectrum(n, 1.0 / n) * cosines / (3.0 * n**3)
+
+
+@pytest.mark.parametrize("n, lags", [(64, (4, 8, 12, 16)), (32, (1, 2, 4, 8, 16))])
+def test_c11_covariance_expectation(n, lags, monkeypatch):
+    # criterion 11's deterministic part: with every spectral draw at its
+    # mean (1, for Exp(1) and chi^2_1 alike), each realization is the
+    # estimator's expectation sum_k weight_k P_k / (3 n^3), which must be
+    # hbar G / r at the lag
+    ones = np.ones((n, n, n // 2 + 1))
+    monkeypatch.setattr(noisefield, "stream", lambda *key: _FixedStream(ones, ones[:2, :2, :2]))
+    grid = FieldGrid(n=n, box_length=1.0, dt=1.0, n_steps=1, seed=SEED)
+    rows = measured_covariance(grid, 100, [lag * grid.dx for lag in lags])
+    worst = max(abs(r.estimate / r.target - 1.0) for r in rows)
+    assert _report(
+        11, "covariance expectation vs hbar G / r", worst <= 1e-13,
+        f"n={n}: worst relative deviation {worst:.1e}",
+    )
+
+
+def test_c11_covariance_draw_is_the_hermitian_spectrum(monkeypatch):
+    # a realization's draw e over the half spectrum stands for the full
+    # |fftn(w)|^2 / n^3: inner kz mirrored to -k, on the planes kz = 0 and
+    # n/2 the cell of lower flat index kx n + ky copied onto its mirror,
+    # and the squared normals at the 8 self-conjugate cells
+    n, lags = 32, (1, 3, 16)
+    rng = np.random.default_rng(SEED)
+    e, z = rng.exponential(size=(n, n, n // 2 + 1)), rng.normal(size=8)
+    i = np.arange(n)
+    mirror = lambda a: a[-i % n][:, -i % n]
+    full = np.empty((n, n, n))
+    full[:, :, : n // 2 + 1] = e
+    full[:, :, n // 2 + 1 :] = mirror(e)[:, :, n // 2 - 1 : 0 : -1]
+    flat = i[:, None] * n + i
+    for kz in (0, n // 2):
+        full[:, :, kz] = np.where(flat <= mirror(flat), e[:, :, kz], mirror(e[:, :, kz]))
+    full[:: n // 2, :: n // 2, :: n // 2] = np.square(z).reshape(2, 2, 2)
+    monkeypatch.setattr(noisefield, "stream", lambda *key: _FixedStream(e, z))
+    grid = FieldGrid(n=n, box_length=1.0, dt=1.0, n_steps=1, seed=SEED)
+    rows = measured_covariance(grid, 100, [lag * grid.dx for lag in lags], NATURAL)
+    worst = max(
+        abs(row.estimate / float((_lag_weights(n, lag) * full).sum()) - 1.0)
+        for lag, row in zip(lags, rows)
+    )
+    assert _report(
+        11, "covariance draw vs Hermitian full spectrum", worst <= 1e-12,
+        f"worst relative difference {worst:.1e}",
+    )
+
+
+def test_c11_covariance_spread_against_exact_law():
+    # criterion 11's sampling part: a realization is the quadratic form
+    # sum_k a_k |fftn(w)_k|^2 / n^3 of white normals w, so its variance is
+    # 2 sum a_k^2 and its fourth cumulant 48 sum a_k^4 (hbar G factored
+    # out); the sample variance must match within its own sampling error
+    n, count, lags = 32, 4000, (1, 4, 16)
+    grid = FieldGrid(n=n, box_length=1.0, dt=1.0, n_steps=1, seed=SEED)
+    rows = measured_covariance(grid, count, [lag * grid.dx for lag in lags], NATURAL)
+    zs = []
+    for lag, row in zip(lags, rows):
+        a = _lag_weights(n, lag)
+        var, kappa4 = 2.0 * float(np.square(a).sum()), 48.0 * float((a**4).sum())
+        s2 = row.standard_error**2 * count
+        zs.append((s2 - var) / math.sqrt(2.0 * var**2 / (count - 1) + kappa4 / count))
+    assert _report(
+        11, "covariance spread vs exact law", max(map(abs, zs)) <= 4.0,
+        "sample variance z = " + ", ".join(f"{z:+.2f}" for z in zs),
+    )
+
+
+def test_c11_sampled_field_two_point_function():
+    # the fields sample_field_step makes (numpy's FFT of a Philox white
+    # field) against hbar G / r, under criterion 11's rule: within 5% or 3 SE
+    grid = FieldGrid(n=32, box_length=1.0, dt=1.0, n_steps=1, seed=SEED)
+    count, lags = 300, np.array([1, 2, 4, 8])
+    per_field = np.empty((count, lags.size))
+    for m in range(count):
+        phi = sample_field_step(grid, m, 0, constants=NATURAL)
+        for j, lag in enumerate(lags):
+            per_field[m, j] = np.mean(
+                [np.mean(phi * np.roll(phi, lag, axis)) for axis in range(3)]
+            )
+    est = per_field.mean(axis=0) * grid.dt
+    se = per_field.std(axis=0, ddof=1) * grid.dt / math.sqrt(count)
+    target = 1.0 / (lags * grid.dx)
+    ok = bool(np.all(np.abs(est - target) <= np.maximum(0.05 * target, 3.0 * se)))
+    assert _report(
+        11, "sampled field two-point function vs hbar G / r", ok,
+        "relative deviations " + ", ".join(
+            f"{d:+.2%} ({z:+.2f} SE)" for d, z in zip(est / target - 1.0, (est - target) / se)
+        ),
     )
 
 

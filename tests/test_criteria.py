@@ -394,6 +394,27 @@ def test_roots_end_in_bounded_work(m, a, rho, threshold):
             assert 0.0 <= value <= bound
 
 
+def test_damping_time_in_the_logarithmic_regime_starts_at_the_i7_bound(monkeypatch):
+    # tau >> 1 at large rho, where the variance grows like ln tau: the
+    # linear-regime seed lies decades below the root, the I7 bound does not
+    import gravphase.criteria as criteria
+
+    calls = [0]
+    real = criteria.phase_variance
+
+    def counted(d):
+        calls[0] += 1
+        return real(d)
+
+    m, a, threshold = 3.57e27, 2.61e-144, 0.376
+    pair = make_params(m, a, 2.57e228 * a, 1.0)
+    monkeypatch.setattr(criteria, "phase_variance", counted)
+    t = damping_time(pair, Threshold(variance_threshold=threshold))
+    assert calls[0] <= 8
+    at_root = make_params(m, a, pair.R, t)
+    assert abs(real(nondimensionalize(at_root)).total / threshold - 1.0) <= 1e-10
+
+
 def test_critical_length_near_largest_mu():
     # mu = 1.57e308, where sqrt(2) mu overflows: the lower bound rho_0 must
     # still be formed without overflow

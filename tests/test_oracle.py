@@ -70,6 +70,12 @@ def test_mc_worker_count_invariance():
     assert s6 == t6
 
 
+def test_cancellation_check_worker_count_invariance():
+    # its four single-density streams run through the same batch kernel
+    one, three = (sn_cancellation_check(1.0, 1.0, N_PARTIAL, 23, workers=w) for w in (1, 3))
+    assert one == three
+
+
 def test_mc_se_scales_as_inverse_sqrt_n():
     se_small = mc_i4_spatial(1.0, N_FAST, seed=3).standard_error
     se_big = mc_i4_spatial(1.0, 16 * N_FAST, seed=3).standard_error
@@ -148,20 +154,6 @@ def test_multi_point_calls_equal_single_calls(workers):
     assert mc_i4_spatial([2.0], N_FAST, 13) == [mc_i4_spatial(2.0, N_FAST, 13)]
 
 
-def test_redraw_path_keeps_multi_point_bits(monkeypatch):
-    plain = mc_i6_spatial(1.0, RS, N_PARTIAL, 21)
-    # a floor of half a sigma sends about 1% of the i4 samples to the redraw path
-    monkeypatch.setattr(oracle, "_REDRAW_FLOOR", 0.5)
-    for workers in (1, 3):
-        shared4 = mc_i4_spatial(C1S, N_PARTIAL, 21, workers=workers)
-        assert shared4 == [mc_i4_spatial(c, N_PARTIAL, 21, workers=workers) for c in C1S]
-        shared6 = mc_i6_spatial(1.0, RS, N_PARTIAL, 21, workers=workers)
-        assert shared6 == [mc_i6_spatial(1.0, r, N_PARTIAL, 21, workers=workers) for r in RS]
-        assert mc_i6_spatial(1.0, RS, N_PARTIAL, 21, workers=workers) == shared6
-    # the redraws moved every estimate, so the path ran
-    assert all(a.value != b.value for a, b in zip(plain, shared6))
-
-
 def test_multi_point_argument_validation():
     with pytest.raises(ValueError, match="C1"):
         mc_i4_spatial((1.0, 0.0), N_FAST, seed=1)
@@ -169,16 +161,6 @@ def test_multi_point_argument_validation():
         mc_i6_spatial(1.0, (0.5, -0.5), N_FAST, seed=1)
     with pytest.raises(ValueError, match="at least one"):
         mc_i4_spatial((), N_FAST, seed=1)
-
-
-def test_single_density_redraw_path(monkeypatch):
-    # sn_cancellation_check draws one density per stream; a floor of half a
-    # sigma sends about 3% of its samples to the redraw path
-    plain = sn_cancellation_check(1.0, 1.0, N_PARTIAL, 23)
-    monkeypatch.setattr(oracle, "_REDRAW_FLOOR", 0.5)
-    one, three = (sn_cancellation_check(1.0, 1.0, N_PARTIAL, 23, workers=w) for w in (1, 3))
-    assert one == three
-    assert one != plain
 
 
 @pytest.mark.parametrize("workers", [1, 3])
