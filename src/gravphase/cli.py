@@ -392,7 +392,8 @@ def _cmd_covariance(params: dict) -> tuple[list[dict], bool]:
     )
     seps = params.get("separations")
     if seps is None:
-        seps = [4.0 * grid.dx, grid.box_length / 8.0, grid.box_length / 4.0]
+        # 4 dx is L/8 at n = 32: the set drops the repeat, sorted keeps 4 dx <= L/8 < L/4
+        seps = sorted({4.0 * grid.dx, grid.box_length / 8.0, grid.box_length / 4.0})
     rows = measured_covariance(grid, params["realizations"], seps)
     records, all_ok = [], True
     for row in rows:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .units import (
@@ -279,12 +280,17 @@ def damping_time_short(
     # the bracket is sqrt(2/pi) I(b) / (a b), b = R / sqrt(2) a, I the variance integrand
     b = p.R / p.a / math.sqrt(2.0)
     bracket = math.sqrt(2.0 / math.pi) * (b * _I_over_beta2(b)) / p.a
-    # a bracket that underflows to 0 leaves a time too long to represent
     try:
-        t = constants.hbar / (constants.G * p.m**2) / bracket if bracket else math.inf
-    except (OverflowError, ZeroDivisionError):
-        # G m^2 left the double range: take m and the bracket apart into
-        # mantissa and power of two, so only the time itself can leave it
+        gm2 = constants.G * p.m**2
+    except OverflowError:
+        gm2 = math.inf
+    if not bracket:  # a bracket that underflows to 0 leaves a time too long to represent
+        t = math.inf
+    elif sys.float_info.min <= gm2 < math.inf:
+        t = constants.hbar / gm2 / bracket
+    else:
+        # G m^2 is 0, subnormal or past the double range: take m and the bracket
+        # apart into mantissa and power of two, so only the time can leave it
         (fm, em), (fb, eb) = math.frexp(p.m), math.frexp(bracket)
         try:
             t = math.ldexp(constants.hbar / (constants.G * fm * fm) / fb, -2 * em - eb)

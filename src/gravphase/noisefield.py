@@ -70,7 +70,7 @@ from numpy.random import Generator, Philox
 
 from .packets import GaussianPacket
 from .units import (
-    CODATA2018, NATURAL, PacketPair, PhysicalConstants, nondimensionalize, spreading_width,
+    CODATA2018, PacketPair, PhysicalConstants, nondimensionalize, spreading_width,
 )
 
 __all__ = [
@@ -247,21 +247,22 @@ def _unit_half_spectrum(n: int, dx: float) -> np.ndarray:
     return p
 
 
-def _half_spectrum(n: int, dx: float, constants: PhysicalConstants) -> np.ndarray:
-    """hbar G P over the rfftn half spectrum (kz = 0 .. n/2); a fresh array."""
-    return constants.hbar * constants.G * _unit_half_spectrum(n, dx)
+@functools.cache
+def _cell_weight(n: int) -> np.ndarray:
+    """How many cells of the full n^3 spectrum each rfftn half-spectrum cell
+    stands for; an (n, n, n/2 + 1) int8 array, cached and read-only.
 
-
-def _plane_multiplicity(n: int) -> np.ndarray:
-    """How many cells each cell stands for on the planes kz = 0 and n/2.
-
-    There a cell holds the conjugate of its mirror ((-kx) mod n, (-ky) mod n):
+    An inner kz stands for itself and its mirror: 2. On the planes kz = 0 and
+    n/2 a cell holds the conjugate of its mirror ((-kx) mod n, (-ky) mod n):
     of the two, the one with the lower flat index kx n + ky counts 2 and the
-    other 0; a cell that is its own mirror counts 1. An (n, n) int array.
+    other 0, and the 8 self-conjugate cells (kx, ky, kz in {0, n/2}) count 1.
     """
     i = np.arange(n)
     flat = i[:, None] * n + i
-    return 1 + np.sign(flat[-i % n][:, -i % n] - flat)
+    w = np.full((n, n, n // 2 + 1), 2, dtype=np.int8)
+    w[:, :, :: n // 2] = (1 + np.sign(flat[-i % n][:, -i % n] - flat))[:, :, None]
+    w.flags.writeable = False  # cached, so every caller shares this array
+    return w
 
 
 def sample_field_step(
@@ -280,7 +281,7 @@ def sample_field_step(
     raw two-point function, so the default keeps it and reproduces
     hbar G / r without a constant offset.
     """
-    amp = np.sqrt(_half_spectrum(grid.n, grid.dx, constants))
+    amp = np.sqrt(constants.hbar * constants.G * _unit_half_spectrum(grid.n, grid.dx))
     if zero_mean:
         amp[0, 0, 0] = 0.0
     w = stream(grid.seed, _TAG_FIELD, member, step).standard_normal((grid.n,) * 3)
@@ -311,8 +312,7 @@ def measured_covariance(
     chi^2_1 at the 8 self-conjugate ones (kx, ky, kz in {0, n/2}). So a
     realization draws one exponential per cell, then 8 normals whose
     squares replace the self-conjugate cells, and no field. A cell weighs
-    the cells it stands for, 2 at an inner kz and ``_plane_multiplicity``
-    on the planes kz = 0 and n/2: the cosine weights are even.
+    the cells it stands for, ``_cell_weight``: the cosine weights are even.
 
     Realizations run on ``default_workers()`` threads (GRAVPHASE_THREADS
     sets the count), each drawing stream (seed, m) into an array the size
@@ -332,9 +332,7 @@ def measured_covariance(
     if not lags:
         raise ValueError("need at least one separation")
     n = grid.n
-    p = _half_spectrum(n, dx, constants)
-    p[:, :, 1 : n // 2] *= 2.0  # mirror multiplicity
-    p[:, :, :: n // 2] *= _plane_multiplicity(n)[:, :, None]
+    p = constants.hbar * constants.G * _unit_half_spectrum(n, dx) * _cell_weight(n)
     cos_x = np.cos(2.0 * math.pi * (np.outer(lags, np.arange(n)) % n) / n)
     cos_z = cos_x[:, : n // 2 + 1]
     norm = 3.0 * float(n) ** 3
@@ -456,28 +454,22 @@ _CUT = 1e-17
 
 @functools.cache
 def _spectral_order(n: int) -> tuple[np.ndarray, ...]:
-    """The independent cells of the rfftn half spectrum, cached per n.
-
-    On the planes kz = 0 and n/2 only the cells that ``_plane_multiplicity``
-    counts are kept. Returns, as int32 arrays, ``order``: the kept cells'
-    flat indices, stably sorted by |k|^2; ``label``: the |k|^2 of
-    every cell, which labels its shell; ``starts``: where the shell
-    |k|^2 = j begins in ``order`` for j = 0 .. max |k|^2 + 1, the last
-    being its length; ``real``: the positions in ``order`` of the 8
-    self-conjugate cells (kx, ky, kz in {0, n/2}).
+    """The kept cells of the rfftn half spectrum, those of ``_cell_weight``
+    above 0, cached per n. Returns, as int32 arrays, ``order``: their flat
+    indices, stably sorted by |k|^2; ``label``: the |k|^2 of every cell,
+    which labels its shell; ``starts``: where the shell |k|^2 = j begins in
+    ``order`` for j = 0 .. max |k|^2 + 1, the last being its length;
+    ``real``: the positions in ``order`` of the cells of weight 1.
     """
-    h = n // 2 + 1
     i = np.arange(n, dtype=np.int32)
     k = np.where(i < n // 2, i, i - n)  # signed frequency of index i
-    k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + i[:h] ** 2).ravel()
-    keep = np.ones((n, n, h), dtype=bool)
-    keep[:, :, :: n // 2] = (_plane_multiplicity(n) > 0)[:, :, None]
-    cells = np.flatnonzero(keep).astype(np.int32)
+    k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + i[: n // 2 + 1] ** 2).ravel()
+    w = _cell_weight(n).ravel()
+    cells = np.flatnonzero(w).astype(np.int32)
     order = cells[np.argsort(k2[cells], kind="stable")]
     starts = np.searchsorted(k2[order], np.arange(k2.max() + 2)).astype(np.int32)
-    edge = i % (n // 2) == 0
-    real = np.flatnonzero((edge[:, None, None] & edge[:, None] & edge[:h]).ravel()[order])
-    return order, k2, starts, real.astype(np.int32)
+    real = np.flatnonzero(w[order] == 1).astype(np.int32)
+    return order, k2, starts, real
 
 
 def _coordinates(gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -493,7 +485,7 @@ def _coordinates(gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order, label, starts, real = _spectral_order(n)
     e = np.square(gh.real)
     e += np.square(gh.imag)
-    e[:, :, 1 : n // 2] *= 2.0  # an inner kz stands for itself and its mirror
+    e *= _cell_weight(n)
     tail = np.cumsum(np.bincount(label, weights=e.ravel())[::-1])[::-1]
     cells = order[: starts[np.count_nonzero(tail > _CUT * tail[0])]]
     c = gh.ravel()[cells].view(np.float64)
@@ -542,7 +534,7 @@ def _ensemble(
     c_hi = (half + d.rho / 2.0, half, half)
 
     # coordinates of the filtered density difference per step, shared by all members
-    amp = np.sqrt(_half_spectrum(n, box / n, NATURAL))
+    amp = np.sqrt(_unit_half_spectrum(n, box / n))  # hbar G = 1
     cs = []
     for s in range(grid.n_steps):
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2

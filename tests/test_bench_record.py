@@ -1,6 +1,7 @@
 """The paired verdict of tools/bench_record.py, on hand-made perfbench results."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,10 @@ def test_options_are_parent_and_out_only(argv):
     with pytest.raises(SystemExit) as exc:
         bench_record.main(argv)
     assert exc.value.code == 2
+
+
+def test_run_reports_the_child_cpu_time(tmp_path):
+    busy = [sys.executable, "-c", "sum(i * i for i in range(3 * 10**6))"]
+    proc, wall, cpu = bench_record._run(busy, tmp_path, timeout=60)
+    assert proc.returncode == 0
+    assert wall > 0 and cpu > 0

@@ -201,6 +201,22 @@ def test_covariance_subcommand(capsys):
     assert all(r["passed"] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("n, separations", [
+    # 4 dx is L/8 at n = 32, so that default row appears once
+    (32, [0.125, 0.25]),
+    (64, [0.0625, 0.125, 0.25]),
+])
+def test_covariance_default_separations_are_distinct(n, separations, capsys):
+    assert run(["covariance", "--grid-n", str(n), "--realizations", "100"]) == 0
+    assert [r["separation"] for r in _json_records(capsys)] == separations
+
+
+def test_covariance_keeps_repeated_explicit_separations(capsys):
+    assert run(["covariance", "--grid-n", "32", "--realizations", "100",
+                "--separations", "0.125,0.125"]) == 0
+    assert [r["separation"] for r in _json_records(capsys)] == [0.125, 0.125]
+
+
 def test_unwritable_output_exits_3(capsys):
     argv = ["variance", "--mu", "1", "--rho", "1", "--tau-max", "1",
             "--output", "/no/such/dir/out.json"]

@@ -586,3 +586,12 @@ def test_short_damping_time_with_mass_squared_out_of_range_is_finite_where_the_t
     t = damping_time_short(make_params(1e-200, 1e-300, 1e-300, 1.0))
     ref = damping_time_short(make_params(1e-100, 1e-100, 1e-100, 1.0))
     assert math.isclose(t, ref, rel_tol=1e-14)
+
+
+def test_short_damping_time_with_subnormal_mass_squared_keeps_its_precision():
+    # G m^2 is subnormal from m of about 1.8e-149 down to 2.7e-157: the
+    # time must still go exactly as 1 / m^2 there
+    ms = [1e-140, 1e-145, 1e-150, 1e-155, 1e-160]
+    scaled = [damping_time_short(make_params(m, 1e-7, 1e-6, 1.0)) * m * m for m in ms]
+    for value in scaled[1:]:
+        assert math.isclose(value, scaled[0], rel_tol=1e-14)

@@ -334,6 +334,28 @@ def test_kept_cells_are_a_whole_shell_prefix(mu, rho, tau_max, n, steps):
     assert cells.size == c.size == 0
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_cell_weights_partition_the_full_spectrum(n):
+    # each half-spectrum cell stands for w full-spectrum cells, and together
+    # they stand for every cell once
+    from gravphase.noisefield import _cell_weight
+    assert not _cell_weight(n).flags.writeable
+    w = _cell_weight(n).astype(int)
+    assert w.shape == (n, n, n // 2 + 1) and w.min() >= 0
+    assert w.sum() == n**3
+    assert (w[:, :, 1 : n // 2] == 2).all()
+    mirror = -np.arange(n) % n
+    for plane in (w[:, :, 0], w[:, :, n // 2]):
+        assert (plane + plane[mirror][:, mirror] == 2).all()
+    edge = (0, n // 2)
+    assert sorted(map(tuple, np.argwhere(w == 1).tolist())) == [
+        (x, y, z) for x in edge for y in edge for z in edge
+    ]
+    order, _, _, real = _spectral_order(n)
+    assert np.array_equal(np.sort(order), np.flatnonzero(w > 0))
+    assert np.array_equal(np.sort(order[real]), np.flatnonzero(w == 1))
+
+
 def test_coordinates_hold_the_norm_of_any_real_field():
     # white noise has a flat spectrum, so nothing is cut and every
     # coordinate, the self-conjugate ones too, carries its share

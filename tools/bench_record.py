@@ -9,10 +9,10 @@ written whole. Under ``parent`` and ``change`` it holds:
   alternating pairs of ``perfbench/run.py`` runs with ``--trace 0``
   (``trace0.<workload>``, a list whose k-th entry is from the k-th pair),
   then one pair with ``--trace 1`` (``trace1.<workload>``); each result is
-  the last JSON line of the run
+  the last JSON line of the run, with the run's CPU time as ``cpu_s``
 - ``tier1``: ``TIER1_PAIRS`` runs of the test suite, the k-th from the
-  k-th of as many alternating pairs, each with its wall time, summary line
-  and the durations of the acceptance tests c11 and c12
+  k-th of as many alternating pairs, each with its wall time, CPU time,
+  summary line and the durations of the acceptance tests c11 and c12
 - ``cli``: the median wall time, over seven fresh processes, of
   ``python -c "import gravphase.cli"`` (the start-up every command pays)
   and of each command in the README's command-line block
@@ -25,7 +25,9 @@ Under ``verdict.<workload>.<metric>`` it holds ``verdict`` of the
 
 perfbench runs at seed 1 for 25 s per workload, its defaults. One process
 runs at a time, and the side that goes first flips every pair, so host
-drift falls on both sides alike.
+drift falls on both sides alike. A run's CPU time is the user plus system
+time of the process and the children it waited for; time stolen by other
+guests on the host inflates it less than it does the wall time.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import json
 import os
 import platform
 import re
+import resource
 import shlex
 import statistics
 import subprocess
@@ -55,11 +58,18 @@ def _env(repo: Path) -> dict:
     return env
 
 
-def _run(cmd: list[str], repo: Path, timeout: float) -> tuple[subprocess.CompletedProcess, float]:
-    t = time.perf_counter()
+def _children_cpu() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _run(cmd: list[str], repo: Path,
+         timeout: float) -> tuple[subprocess.CompletedProcess, float, float]:
+    """The finished process, its wall seconds and its CPU seconds."""
+    cpu, t = _children_cpu(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=repo, env=_env(repo), capture_output=True, text=True,
                           timeout=timeout)
-    return proc, time.perf_counter() - t
+    return proc, time.perf_counter() - t, _children_cpu() - cpu
 
 
 def _alternate(parent: Path, change: Path, k: int) -> list[tuple[str, Path]]:
@@ -76,13 +86,13 @@ def perfbench(parent: Path, change: Path, names: list[str]) -> dict[str, dict]:
     runs = [(name, trace) for name in names for trace in [0] * PAIRS + [1]]
     for k, (name, trace) in enumerate(runs):
         for label, repo in _alternate(parent, change, k):
-            proc, _ = _run([sys.executable, "perfbench/run.py", "--workload", name, "--seed",
-                            str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)],
-                           repo, timeout=3600)
+            proc, _, cpu_s = _run([sys.executable, "perfbench/run.py", "--workload", name,
+                                   "--seed", str(SEED), "--seconds", str(SECONDS),
+                                   "--trace", str(trace)], repo, timeout=3600)
             if proc.returncode != 0:
                 raise RuntimeError(f"{label}: perfbench {name} --trace {trace} exited "
                                    f"{proc.returncode}: {proc.stderr[-2000:]}")
-            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            result = {**json.loads(proc.stdout.strip().splitlines()[-1]), "cpu_s": cpu_s}
             if trace:
                 out[label]["trace1"][name] = result
             else:
@@ -147,15 +157,16 @@ def verdict(parent: list[dict], change: list[dict], metric: str, better: str,
 
 
 def tier1(repo: Path) -> dict:
-    proc, wall = _run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                       "--durations=0", "-p", "no:cacheprovider"], repo, timeout=7200)
+    proc, wall, cpu = _run([sys.executable, "-m", "pytest", "-q",
+                            "--continue-on-collection-errors", "--durations=0", "-p",
+                            "no:cacheprovider"], repo, timeout=7200)
     lines = proc.stdout.strip().splitlines()
     durations = {}
     for line in lines:
         m = re.match(r"\s*([\d.]+)s call\s+\S+::(test_c1[12]_\S+)", line)
         if m:
             durations[m.group(2)] = float(m.group(1))
-    return {"exit_code": proc.returncode, "wall_s": wall,
+    return {"exit_code": proc.returncode, "wall_s": wall, "cpu_s": cpu,
             "summary": lines[-1].strip("= ") if lines else "", "durations_s": durations}
 
 
@@ -182,7 +193,7 @@ def _median_wall(args: list[str], repo: Path) -> float:
     """Median wall time of ``python <args>`` over CLI_RUNS fresh processes."""
     times = []
     for _ in range(CLI_RUNS):
-        proc, wall = _run([sys.executable, *args], repo, timeout=600)
+        proc, wall, _ = _run([sys.executable, *args], repo, timeout=600)
         if proc.returncode not in (0, 1):
             raise RuntimeError(f"python {shlex.join(args)} exited {proc.returncode}: "
                                f"{proc.stderr[-2000:]}")
