@@ -61,6 +61,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -135,12 +136,12 @@ class FieldGrid:
 class EnsembleStats:
     """Ensemble estimate of the phase variance.
 
-    The standard error of the variance comes from the fourth-moment
-    estimator var(s^2) = (m4 - (n-3)/(n-1) s^4) / n. ``lattice_variance``
-    is the variance the ensemble estimates, exact for this lattice and time
-    step, so ``variance - lattice_variance`` is pure sampling noise and
-    ``lattice_variance`` minus the continuum value is the discretization
-    bias.
+    ``lattice_variance`` is the variance the ensemble estimates, exact for
+    this lattice and time step, so ``variance - lattice_variance`` is pure
+    sampling noise and ``lattice_variance`` minus the continuum value is the
+    discretization bias. The member phases are exactly Gaussian with that
+    variance, so the sample variance s^2 has the exact standard error
+    ``standard_error_of_variance`` = lattice_variance sqrt(2 / (n - 1)).
     """
 
     n_members: int
@@ -304,7 +305,8 @@ def measured_covariance(
     estimate at each lag averages the three axis directions and all grid
     sites (one circular autocorrelation per realization), with the
     standard error taken across realizations. Targets are hbar G / r at
-    the snapped separations.
+    the snapped separations; OverflowError, before any draw, where the
+    smallest of them underflows past the normal double range.
 
     The autocorrelation at lag l along x is n^-3 sum_k e_k P(k)
     cos(2 pi kx l / n), e = |fftn(w)|^2 / n^3 for white normals w, and e
@@ -331,6 +333,8 @@ def measured_covariance(
         lags.append(round(r / dx))
     if not lags:
         raise ValueError("need at least one separation")
+    if constants.hbar * constants.G / (max(lags) * dx) < sys.float_info.min:
+        raise OverflowError(f"target hbar G / r underflows at box {grid.box_length} m")
     n = grid.n
     p = constants.hbar * constants.G * _unit_half_spectrum(n, dx) * _cell_weight(n)
     cos_x = np.cos(2.0 * math.pi * (np.outer(lags, np.arange(n)) % n) / n)
@@ -428,22 +432,17 @@ def simulate_phase_variance(
     oracle.sn_cancellation_check for the explicit verification).
 
     Ensemble members map to counter-based streams indexed (member, step),
-    so the result is bit-identical for any worker count.
+    so the result is bit-identical for any worker count. The standard error
+    comes from the phases' exact law, as ``EnsembleStats`` states.
     """
     if n_members < _MIN_MEMBERS:
         raise ValueError(f"need at least {_MIN_MEMBERS} members, got {n_members}")
     phases, lattice = _ensemble(p, grid, n_members, constants, workers)
-
-    mean = float(phases.mean())
-    var = float(phases.var(ddof=1))
-    m4 = float(np.mean((phases - mean) ** 4))
-    nm = n_members
-    se_var = math.sqrt(max(m4 - (nm - 3) / (nm - 1) * var * var, 0.0) / nm)
     return EnsembleStats(
         n_members=n_members,
-        mean=mean,
-        variance=var,
-        standard_error_of_variance=se_var,
+        mean=float(phases.mean()),
+        variance=float(phases.var(ddof=1)),
+        standard_error_of_variance=lattice * math.sqrt(2.0 / (n_members - 1)),
         lattice_variance=lattice,
     )
 

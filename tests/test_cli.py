@@ -275,6 +275,27 @@ def test_tau_unit_underflow_is_numerical_failure(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", ["1e300", "1e280"])
+def test_covariance_target_underflow_is_numerical_failure(box, capsys):
+    # hbar G / r is 0.0 at 1e300 m and subnormal (4.9e-324) at 1e280 m
+    argv = ["covariance", "--grid-n", "32", "--box", box, "--realizations", "100"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert f"box {float(box)} m" in captured.err
+
+
+def test_simulate_low_draw_keeps_its_standard_error(capsys):
+    # a correct ensemble whose sample variance lies 2.1 exact SE below its
+    # lattice variance; an SE estimated from the same low draw failed it
+    argv = ["simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07",
+            "--separation", "7.19357e-08", "--horizon", "423.836", "--grid-n", "32",
+            "--steps", "1", "--members", "64", "--seed", "47", "--workers", "1"]
+    assert run(argv) == 0
+    assert _json_records(capsys)[0]["passed"] is True
+
+
 def test_overflowing_theta_factor_with_empty_theta_piece(capsys):
     # 2 mu rho / sqrt(pi) overflows to inf, but beta stays above 1/2 up to
     # tau_max, so the theta piece is empty and the variance finite

@@ -190,6 +190,19 @@ def test_simulate_zero_separation_gives_zero_variance():
     assert ens.variance == 0.0 and ens.mean == 0.0
 
 
+@pytest.mark.parametrize("pair", [
+    _pair(1.0, 1.0, 0.1),
+    make_params(1e-17, 1e-6, 0.0, 1e4),  # R = 0: no phase, both are 0.0
+], ids=["rho=1", "R=0"])
+def test_standard_error_of_variance_is_the_exact_law(pair):
+    # the phases are exactly Gaussian with the lattice variance, so the SE
+    # of their sample variance comes from that law, not from the phases
+    ens = simulate_phase_variance(pair, _grid_for(pair, seed=5), 64)
+    se = ens.lattice_variance * math.sqrt(2.0 / (ens.n_members - 1))
+    assert ens.standard_error_of_variance == se
+    assert (ens.standard_error_of_variance == 0.0) == (pair.R == 0.0)
+
+
 def test_simulate_time_step_refinement_consistent():
     # halving dt must not move the variance beyond joint noise
     pair = _pair(1.0, 1.0, 0.1)
