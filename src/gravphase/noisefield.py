@@ -37,15 +37,18 @@ a sum over steps of <d_s, F w_s> with d_s the density difference of
 the two packets, so F d_s is filtered once per step and shared by every
 member. It never leaves the half spectrum: by Parseval, <F d_s, w_s>
 has the law of <c_s, z> over the independent real coordinates c_s of
-rfftn(F d_s), and z ~ N(0, I). F d_s is a filtered difference of
-Gaussians, so its spectrum falls like exp(-k^2 C1 / 4), and the outer
-|k|^2 shells that together hold no more than 1e-17 of its energy are
-cut. A member-step is then one Philox draw of the kept coordinates and
-one reduction, and mu dtau sum_s ||c_s||^2 is the lattice-exact
-ensemble variance, with no sampling at all. The covariance
-estimator needs only |rfftn(w)|^2 P, reduced to its three axis marginals
-and weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 / n^3
-straight from its law, one exponential per cell, and makes no field.
+rfftn(F d_s), and z ~ N(0, I). The packets differ only along x, about
+the box centre, so rfftn(d_s) is the outer product of three length-n
+transforms, an odd imaginary one along x and two real ones: one normal
+is drawn per cell, for its Im, except on the planes kx = 0 and n/2.
+F d_s is a filtered difference of Gaussians, so its spectrum falls like
+exp(-k^2 C1 / 4), and the outer |k|^2 shells that together hold no more
+than 1e-17 of its energy are cut. A member-step is then one Philox draw
+of the kept coordinates and one reduction, and mu dtau sum_s ||c_s||^2
+is the lattice-exact ensemble variance, with no sampling at all. The
+covariance estimator needs only |rfftn(w)|^2 P, reduced to its three axis
+marginals and weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 /
+n^3 straight from its law, one exponential per cell, and makes no field.
 
 Every random draw in the package, here and in the oracle, comes from
 ``stream``: a Philox generator keyed by (seed, domain tag) with counter
@@ -336,7 +339,7 @@ def measured_covariance(
     if constants.hbar * constants.G / (max(lags) * dx) < sys.float_info.min:
         raise OverflowError(f"target hbar G / r underflows at box {grid.box_length} m")
     n = grid.n
-    p = constants.hbar * constants.G * _unit_half_spectrum(n, dx) * _cell_weight(n)
+    p = _unit_half_spectrum(n, 1.0) * _cell_weight(n)  # hbar G / dx factored out
     cos_x = np.cos(2.0 * math.pi * (np.outer(lags, np.arange(n)) % n) / n)
     cos_z = cos_x[:, : n // 2 + 1]
     norm = 3.0 * float(n) ** 3
@@ -353,36 +356,33 @@ def measured_covariance(
         return ((cos_x * m_xy).sum(axis=1) + (cos_z * m_z).sum(axis=1)) / norm
 
     per_real = np.array(parallel_map(realization, range(n_realizations)))
+    scale = constants.hbar * constants.G / dx
     rows = []
     for j, lag in enumerate(lags):
         r_snap = lag * dx
-        est = float(per_real[:, j].mean())
-        se = float(per_real[:, j].std(ddof=1) / math.sqrt(n_realizations))
         rows.append(
             CovarianceRow(
                 separation=r_snap,
-                estimate=est,
-                standard_error=se,
+                estimate=float(per_real[:, j].mean()) * scale,
+                standard_error=float(per_real[:, j].std(ddof=1)) * scale
+                / math.sqrt(n_realizations),
                 target=constants.hbar * constants.G / r_snap,
             )
         )
     return rows
 
 
+def _profile(n: int, box: float, c: float, c1: float) -> np.ndarray:
+    """exp(-d^2 / c1) on the n nodes of one axis, d the min-image distance to c."""
+    d = np.arange(n) * (box / n) - c
+    d -= box * np.round(d / box)
+    return np.exp(-d * d / c1)
+
+
 def _density_grid(n: int, box: float, center, c1: float) -> np.ndarray:
     """Normalized Gaussian density on grid nodes with periodic min-image distances."""
-    x = np.arange(n) * (box / n)
-
-    def axis(c):
-        d = x - c
-        d -= box * np.round(d / box)
-        return d
-
-    dxx, dyy, dzz = np.meshgrid(
-        axis(center[0]), axis(center[1]), axis(center[2]), indexing="ij", sparse=True
-    )
-    r2 = dxx * dxx + dyy * dyy + dzz * dzz
-    return np.exp(-r2 / c1) / (math.pi * c1) ** 1.5
+    x, y, z = (_profile(n, box, c, c1) for c in center)
+    return x[:, None, None] * y[:, None] * z / (math.pi * c1) ** 1.5
 
 
 def smeared_potential(
@@ -476,7 +476,8 @@ def _coordinates(gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     <g, w> over n^3 iid standard normals w has the law of <c, z>, z ~ N(0, I)
     (Parseval): each kept cell gives Re, then Im, weighted sqrt(2/N), and a
-    self-conjugate one Re alone, weighted sqrt(1/N). The longest run of
+    self-conjugate one Re alone, weighted sqrt(1/N). A coordinate that is
+    exactly 0 adds nothing to <c, z> and is left out. The longest run of
     outer |k|^2 shells holding at most ``_CUT`` of ||g||^2 is left out, so
     the cells are a prefix of ``order``.
     """
@@ -492,7 +493,8 @@ def _coordinates(gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     own = c[re] * math.sqrt(1.0 / n**3)
     c *= math.sqrt(2.0 / n**3)
     c[re] = own
-    return cells, np.delete(c, re + 1)
+    c = np.delete(c, re + 1)
+    return cells, c[c != 0.0]
 
 
 def _ensemble(
@@ -511,6 +513,11 @@ def _ensemble(
     normals of stream (mem, s). The cut depends on g_s alone, never on the
     seed or the worker count, and one more shell only lengthens the draw.
     The phases are Gaussian with variance mu dtau sum_s ||c_s||^2.
+
+    rfftn(d_s) = f_s i X(kx) Y(ky) Z(kz), f_s = cell / (pi c1)^(3/2), from
+    the rffts of ``_profile``: X the Im of the x profile difference's, made
+    odd, so exactly 0 at kx = 0 and n/2; Y, Z the Re of the centred one's.
+    So c_s holds the Im of each kept cell off the planes kx = 0 and n/2.
     """
     d = nondimensionalize(p, constants)
     horizon = grid.n_steps * grid.dt
@@ -524,23 +531,25 @@ def _ensemble(
             f"box_length {grid.box_length} below 8*max(R, sqrt(C1(T))) = {required}"
         )
 
-    n = grid.n
+    n, h = grid.n, grid.n // 2
     box = grid.box_length / p.a  # box in units of a
     dtau = d.tau_max / grid.n_steps
-    cell = (box / n) ** 3
     half = box / 2.0
-    c_lo = (half - d.rho / 2.0, half, half)
-    c_hi = (half + d.rho / 2.0, half, half)
 
     # coordinates of the filtered density difference per step, shared by all members
     amp = np.sqrt(_unit_half_spectrum(n, box / n))  # hbar G = 1
     cs = []
     for s in range(grid.n_steps):
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
-        dd = (_density_grid(n, box, c_lo, c1) - _density_grid(n, box, c_hi, c1)) * cell
-        gh = np.fft.rfftn(dd)
-        gh *= amp
-        cs.append(_coordinates(gh)[1])
+        f = (box / n) ** 3 / (math.pi * c1) ** 1.5
+        x = f * np.fft.rfft(
+            _profile(n, box, half - d.rho / 2.0, c1) - _profile(n, box, half + d.rho / 2.0, c1)
+        ).imag
+        yz = np.fft.rfft(_profile(n, box, half, c1)).real
+        g = np.concatenate((x, -x[h - 1 : 0 : -1]))[:, None, None]
+        g = g * np.concatenate((yz, yz[h - 1 : 0 : -1]))[:, None] * yz
+        g *= amp
+        cs.append(_coordinates(g * 1j)[1])
 
     mu_dtau = d.mu * dtau
     scale = math.sqrt(mu_dtau)

@@ -367,6 +367,22 @@ def test_c12_lattice_bias(tau_max, steps):
     )
 
 
+def test_c12_lattice_bias_is_second_order_in_the_spacing():
+    # criterion 12's deterministic part at tau = 3, where the box term is
+    # negligible: halving the spacing cuts the bias about fourfold, and
+    # Richardson extrapolation (p = 2) on n = 64, 128 lands on the continuum.
+    # At tau = 0.1 the box term dominates at n = 128, so it is not checked here
+    target = phase_variance(nondimensionalize(_c12_case(3.0, 30)[0])).total
+    lat = {n: _ensemble(*_c12_case(3.0, 30, n), 0)[1] for n in (64, 128)}
+    order = math.log2((lat[64] / target - 1.0) / (lat[128] / target - 1.0))
+    extrapolated = (4.0 * lat[128] - lat[64]) / 3.0 / target - 1.0
+    assert _report(
+        12, "lattice bias order and extrapolation",
+        1.5 <= order <= 2.5 and abs(extrapolated) <= 5e-4,
+        f"tau=3: observed order {order:.2f}, extrapolated bias {extrapolated:+.4%}",
+    )
+
+
 @pytest.mark.parametrize("tau_max, steps", [(0.1, 8), (3.0, 30)])
 def test_c12_ensemble_noise_against_lattice(tau_max, steps):
     # criterion 12's sampling part: the phases are exactly Gaussian with

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -286,14 +287,46 @@ def test_covariance_target_underflow_is_numerical_failure(box, capsys):
     assert f"box {float(box)} m" in captured.err
 
 
+def test_covariance_is_scale_free(capsys):
+    # the realizations are reduced for unit hbar G / dx and scaled once, so
+    # estimate / target and SE / target do not depend on the box: the SE was
+    # 0.0 at 1e120 m (its squares underflowed), and at 1e-300 m the run
+    # exited 3 after numpy overflow warnings
+    ratios = []
+    for box in ("1", "1e120", "1e-300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["covariance", "--grid-n", "32", "--box", box, "--realizations", "100"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = json.loads(captured.out)
+        ratios.append([r[k] / r["target"] for r in rows for k in ("estimate", "standard_error")])
+    assert 0.04 < ratios[0][1] < 0.05
+    for r in ratios[1:]:
+        assert r == pytest.approx(ratios[0], rel=1e-12)
+
+
 def test_simulate_low_draw_keeps_its_standard_error(capsys):
-    # a correct ensemble whose sample variance lies 2.1 exact SE below its
-    # lattice variance; an SE estimated from the same low draw failed it
+    # a correct ensemble whose sample variance lies 1.8 exact SE below its
+    # lattice variance; an SE estimated from the same low draw fails it
     argv = ["simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07",
             "--separation", "7.19357e-08", "--horizon", "423.836", "--grid-n", "32",
             "--steps", "1", "--members", "64", "--seed", "47", "--workers", "1"]
     assert run(argv) == 0
     assert _json_records(capsys)[0]["passed"] is True
+
+
+def test_simulate_lower_draw_keeps_its_standard_error(capsys):
+    # the same geometry at a seed whose sample variance lies 2.2 exact SE
+    # below its lattice variance (39% below the analytic value, within 3
+    # exact SE); an SE estimated from the same draw puts it 3.6 SE off
+    argv = ["simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07",
+            "--separation", "7.19357e-08", "--horizon", "423.836", "--grid-n", "32",
+            "--steps", "1", "--members", "64", "--seed", "248", "--workers", "1"]
+    assert run(argv) == 0
+    rec = _json_records(capsys)[0]
+    assert rec["passed"] is True
+    assert rec["variance"] < 0.65 * rec["analytic_total"]
 
 
 def test_overflowing_theta_factor_with_empty_theta_piece(capsys):

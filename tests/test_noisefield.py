@@ -232,19 +232,16 @@ def test_simulate_preconditions():
 
 
 def _drawn_white_field(cells, z, n):
-    """The real white field whose rfftn coordinates at ``cells`` are z.
+    """The real white field whose rfftn coordinates at ``cells`` are Im = z.
 
-    z holds Re, then Im, of each cell in turn, with Re alone at the
-    self-conjugate cells; it is scaled back to the coefficients of white
-    noise (E |W_k|^2 = n^3) and every mirror is filled in; every other
-    mode is zero.
+    A step's spectrum is purely imaginary and zero on the planes kx = 0 and
+    n/2, so the ensemble draws one normal per kept cell off those planes, for
+    its Im; z is scaled back to the coefficients of white noise
+    (E |W_k|^2 = n^3) and every mirror is filled in; every other mode is zero.
     """
     ix, iy, iz = np.unravel_index(cells, (n, n, n // 2 + 1))
-    own = (ix % (n // 2) == 0) & (iy % (n // 2) == 0) & (iz % (n // 2) == 0)
-    re = 2 * np.arange(cells.size) - (np.cumsum(own) - own)  # where each cell's Re is
-    im = np.where(own, 0.0, z[np.minimum(re + 1, z.size - 1)])
     big = np.zeros((n, n, n), dtype=complex)
-    big[ix, iy, iz] = np.where(own, math.sqrt(n**3), math.sqrt(n**3 / 2)) * (z[re] + 1j * im)
+    big[ix, iy, iz] = 1j * math.sqrt(n**3 / 2) * z
     big[-ix % n, -iy % n, -iz % n] = np.conj(big[ix, iy, iz])
     return np.fft.ifftn(big).real
 
@@ -266,8 +263,9 @@ def test_member_phase_matches_unfiltered_dot():
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
         lo = _density_grid(n, box, (half - d.rho / 2.0, half, half), c1)
         hi = _density_grid(n, box, (half + d.rho / 2.0, half, half), c1)
-        cells, c = _coordinates(np.fft.rfftn((lo - hi) * (box / n) ** 3) * amp[:, :, : n // 2 + 1])
-        z = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(c.size)
+        cells, _ = _coordinates(np.fft.rfftn((lo - hi) * (box / n) ** 3) * amp[:, :, : n // 2 + 1])
+        cells = cells[cells // (n * (n // 2 + 1)) % (n // 2) != 0]  # kx not 0 or n/2
+        z = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(cells.size)
         w = _drawn_white_field(cells, z, n)
         phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
         acc += float(np.dot(((lo - hi) * (box / n) ** 3).ravel(), phi.ravel()))

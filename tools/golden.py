@@ -99,10 +99,17 @@ CALLS = [
     # a covariance target hbar G / r that underflows (0.0, then 4.9e-324): exit 3
     ("covariance", "--grid-n", "32", "--box", "1e300", "--realizations", "100"),
     ("covariance", "--grid-n", "32", "--box", "1e280", "--realizations", "100"),
-    # a correct ensemble whose variance lies 2.1 exact SE low: exit 0
+    # boxes where the SE's squares underflowed (1e120) and the spectrum overflowed
+    # (1e-300): exit 0, with SE / target as at 1 m
+    ("covariance", "--grid-n", "32", "--box", "1e120", "--realizations", "100"),
+    ("covariance", "--grid-n", "32", "--box", "1e-300", "--realizations", "100"),
+    # correct ensembles whose variance lies 1.8 and 2.2 exact SE low: exit 0
     ("simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07", "--separation",
      "7.19357e-08", "--horizon", "423.836", "--grid-n", "32", "--steps", "1", "--members",
      "64", "--seed", "47", "--workers", "1"),
+    ("simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07", "--separation",
+     "7.19357e-08", "--horizon", "423.836", "--grid-n", "32", "--steps", "1", "--members",
+     "64", "--seed", "248", "--workers", "1"),
     # rho = 0, and the closed-form head alone (beta >= 6 up to tau_max): exit 0
     ("variance", "--mu", "1", "--rho", "0", "--tau-max", "3"),
     ("variance", "--mu", "1", "--rho", "100", "--tau-max", "1"),
