@@ -392,8 +392,8 @@ def _cmd_covariance(params: dict) -> tuple[list[dict], bool]:
     )
     seps = params.get("separations")
     if seps is None:
-        # 4 dx is L/8 at n = 32: the set drops the repeat, sorted keeps 4 dx <= L/8 < L/4
-        seps = sorted({4.0 * grid.dx, grid.box_length / 8.0, grid.box_length / 4.0})
+        # lags 4, n/8 and n/4, each once: 4 is n/8 at n = 32
+        seps = [lag * grid.dx for lag in sorted({4, grid.n // 8, grid.n // 4})]
     rows = measured_covariance(grid, params["realizations"], seps)
     records, all_ok = [], True
     for row in rows:

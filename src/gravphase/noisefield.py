@@ -309,7 +309,8 @@ def measured_covariance(
     sites (one circular autocorrelation per realization), with the
     standard error taken across realizations. Targets are hbar G / r at
     the snapped separations; OverflowError, before any draw, where the
-    smallest of them underflows past the normal double range.
+    grid spacing underflows to 0 or the smallest target underflows past
+    the normal double range.
 
     The autocorrelation at lag l along x is n^-3 sum_k e_k P(k)
     cos(2 pi kx l / n), e = |fftn(w)|^2 / n^3 for white normals w, and e
@@ -327,6 +328,8 @@ def measured_covariance(
     if n_realizations < 100:
         raise ValueError(f"need at least 100 realizations, got {n_realizations}")
     dx = grid.dx
+    if dx == 0.0:
+        raise OverflowError(f"grid spacing box / n underflows to 0 at box {grid.box_length} m")
     lags = []
     for r in separations:
         if not (dx <= r <= grid.box_length / 2.0):
@@ -457,43 +460,36 @@ def _spectral_order(n: int) -> tuple[np.ndarray, ...]:
     above 0, cached per n. Returns, as int32 arrays, ``order``: their flat
     indices, stably sorted by |k|^2; ``label``: the |k|^2 of every cell,
     which labels its shell; ``starts``: where the shell |k|^2 = j begins in
-    ``order`` for j = 0 .. max |k|^2 + 1, the last being its length;
-    ``real``: the positions in ``order`` of the cells of weight 1.
+    ``order`` for j = 0 .. max |k|^2 + 1, the last being its length.
     """
     i = np.arange(n, dtype=np.int32)
     k = np.where(i < n // 2, i, i - n)  # signed frequency of index i
     k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + i[: n // 2 + 1] ** 2).ravel()
-    w = _cell_weight(n).ravel()
-    cells = np.flatnonzero(w).astype(np.int32)
+    cells = np.flatnonzero(_cell_weight(n)).astype(np.int32)
     order = cells[np.argsort(k2[cells], kind="stable")]
     starts = np.searchsorted(k2[order], np.arange(k2.max() + 2)).astype(np.int32)
-    real = np.flatnonzero(w[order] == 1).astype(np.int32)
-    return order, k2, starts, real
+    return order, k2, starts
 
 
-def _coordinates(gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kept cells and coordinates c of the half spectrum gh of a real g.
+def _coordinates(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept cells and coordinates c of a real field odd in x, given g,
+    the Im of its rfftn half spectrum (its Re is 0, and g is 0 on the
+    planes kx = 0 and n/2, where every self-conjugate cell lies).
 
-    <g, w> over n^3 iid standard normals w has the law of <c, z>, z ~ N(0, I)
-    (Parseval): each kept cell gives Re, then Im, weighted sqrt(2/N), and a
-    self-conjugate one Re alone, weighted sqrt(1/N). A coordinate that is
-    exactly 0 adds nothing to <c, z> and is left out. The longest run of
-    outer |k|^2 shells holding at most ``_CUT`` of ||g||^2 is left out, so
-    the cells are a prefix of ``order``.
+    <field, w> over n^3 iid standard normals w has the law of <c, z>,
+    z ~ N(0, I) (Parseval): each kept cell gives its Im, weighted
+    sqrt(2/N). A coordinate that is exactly 0 adds nothing to <c, z> and
+    is left out. The longest run of outer |k|^2 shells holding at most
+    ``_CUT`` of the field's squared norm is left out, so the cells are a
+    prefix of ``order``.
     """
-    n = gh.shape[0]
-    order, label, starts, real = _spectral_order(n)
-    e = np.square(gh.real)
-    e += np.square(gh.imag)
+    n = g.shape[0]
+    order, label, starts = _spectral_order(n)
+    e = np.square(g)
     e *= _cell_weight(n)
     tail = np.cumsum(np.bincount(label, weights=e.ravel())[::-1])[::-1]
     cells = order[: starts[np.count_nonzero(tail > _CUT * tail[0])]]
-    c = gh.ravel()[cells].view(np.float64)
-    re = 2 * real[real < cells.size]
-    own = c[re] * math.sqrt(1.0 / n**3)
-    c *= math.sqrt(2.0 / n**3)
-    c[re] = own
-    c = np.delete(c, re + 1)
+    c = g.ravel()[cells] * math.sqrt(2.0 / n**3)
     return cells, c[c != 0.0]
 
 
@@ -509,7 +505,7 @@ def _ensemble(
     Member ``mem``'s phase is -sqrt(mu dtau) sum_s <g_s, w_s> with
     g_s = F d_s the filtered density difference of step s (the adjoint
     form of <d_s, F w_s>) and w_s white noise, drawn as <c_s, z_s> with
-    c_s = ``_coordinates(rfftn(d_s) sqrt(P))`` and z_s the first len(c_s)
+    c_s = ``_coordinates(Im(rfftn(d_s)) sqrt(P))`` and z_s the first len(c_s)
     normals of stream (mem, s). The cut depends on g_s alone, never on the
     seed or the worker count, and one more shell only lengthens the draw.
     The phases are Gaussian with variance mu dtau sum_s ||c_s||^2.
@@ -517,7 +513,8 @@ def _ensemble(
     rfftn(d_s) = f_s i X(kx) Y(ky) Z(kz), f_s = cell / (pi c1)^(3/2), from
     the rffts of ``_profile``: X the Im of the x profile difference's, made
     odd, so exactly 0 at kx = 0 and n/2; Y, Z the Re of the centred one's.
-    So c_s holds the Im of each kept cell off the planes kx = 0 and n/2.
+    So a step builds only that Im, f_s X Y Z sqrt(P), as one real array, and
+    c_s holds its kept cells off the planes kx = 0 and n/2.
     """
     d = nondimensionalize(p, constants)
     horizon = grid.n_steps * grid.dt
@@ -549,7 +546,7 @@ def _ensemble(
         g = np.concatenate((x, -x[h - 1 : 0 : -1]))[:, None, None]
         g = g * np.concatenate((yz, yz[h - 1 : 0 : -1]))[:, None] * yz
         g *= amp
-        cs.append(_coordinates(g * 1j)[1])
+        cs.append(_coordinates(g)[1])
 
     mu_dtau = d.mu * dtau
     scale = math.sqrt(mu_dtau)

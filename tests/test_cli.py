@@ -276,9 +276,10 @@ def test_tau_unit_underflow_is_numerical_failure(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("box", ["1e300", "1e280"])
+@pytest.mark.parametrize("box", ["1e300", "1e280", "1e-323", "5e-324"])
 def test_covariance_target_underflow_is_numerical_failure(box, capsys):
-    # hbar G / r is 0.0 at 1e300 m and subnormal (4.9e-324) at 1e280 m
+    # hbar G / r is 0.0 at 1e300 m and subnormal (4.9e-324) at 1e280 m;
+    # at 1e-323 and 5e-324 m the grid spacing dx = box / 32 is 0.0
     argv = ["covariance", "--grid-n", "32", "--box", box, "--realizations", "100"]
     assert run(argv) == 3
     captured = capsys.readouterr()
@@ -291,9 +292,10 @@ def test_covariance_is_scale_free(capsys):
     # the realizations are reduced for unit hbar G / dx and scaled once, so
     # estimate / target and SE / target do not depend on the box: the SE was
     # 0.0 at 1e120 m (its squares underflowed), and at 1e-300 m the run
-    # exited 3 after numpy overflow warnings
+    # exited 3 after numpy overflow warnings; at 1e-310 m dx is subnormal,
+    # where 4 dx and L/8 differ in their last bits and the row was repeated
     ratios = []
-    for box in ("1", "1e120", "1e-300"):
+    for box in ("1", "1e120", "1e-300", "1e-310"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["covariance", "--grid-n", "32", "--box", box, "--realizations", "100"]) == 0

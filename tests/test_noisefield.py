@@ -263,7 +263,9 @@ def test_member_phase_matches_unfiltered_dot():
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
         lo = _density_grid(n, box, (half - d.rho / 2.0, half, half), c1)
         hi = _density_grid(n, box, (half + d.rho / 2.0, half, half), c1)
-        cells, _ = _coordinates(np.fft.rfftn((lo - hi) * (box / n) ** 3) * amp[:, :, : n // 2 + 1])
+        cells, _ = _coordinates(
+            np.fft.rfftn((lo - hi) * (box / n) ** 3).imag * amp[:, :, : n // 2 + 1]
+        )
         cells = cells[cells // (n * (n // 2 + 1)) % (n // 2) != 0]  # kx not 0 or n/2
         z = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(cells.size)
         w = _drawn_white_field(cells, z, n)
@@ -327,12 +329,12 @@ def test_kept_cells_are_a_whole_shell_prefix(mu, rho, tau_max, n, steps):
     grid = _grid_for(pair, n=n, steps=steps)
     box = grid.box_length / pair.a
     amp = np.sqrt(_unit_spectrum(n, box / n))
-    order, _, starts, _ = _spectral_order(n)
+    order, _, starts = _spectral_order(n)
     k = np.fft.fftfreq(n, 1.0 / n)
     k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k**2).astype(int)
     dd = next(_differences(pair, grid))
     energy = np.bincount(k2.ravel(), weights=np.abs(np.fft.fftn(dd) * amp).ravel() ** 2)
-    cells, _ = _coordinates(np.fft.rfftn(dd) * amp[:, :, : n // 2 + 1])
+    cells, _ = _coordinates(np.fft.rfftn(dd).imag * amp[:, :, : n // 2 + 1])
     assert cells.size in starts
     assert np.array_equal(cells, order[: cells.size])
     kmax = int(k2[np.unravel_index(cells[-1], (n, n, n // 2 + 1))])
@@ -341,7 +343,7 @@ def test_kept_cells_are_a_whole_shell_prefix(mu, rho, tau_max, n, steps):
     if n == 64 and tau_max < 1.0:
         assert cells.size < order.size // 10  # the cut leaves out most cells
     # a field with no energy keeps nothing
-    cells, c = _coordinates(np.zeros((n, n, n // 2 + 1), dtype=complex))
+    cells, c = _coordinates(np.zeros((n, n, n // 2 + 1)))
     assert cells.size == c.size == 0
 
 
@@ -362,17 +364,27 @@ def test_cell_weights_partition_the_full_spectrum(n):
     assert sorted(map(tuple, np.argwhere(w == 1).tolist())) == [
         (x, y, z) for x in edge for y in edge for z in edge
     ]
-    order, _, _, real = _spectral_order(n)
+    order, _, _ = _spectral_order(n)
     assert np.array_equal(np.sort(order), np.flatnonzero(w > 0))
-    assert np.array_equal(np.sort(order[real]), np.flatnonzero(w == 1))
 
 
-def test_coordinates_hold_the_norm_of_any_real_field():
-    # white noise has a flat spectrum, so nothing is cut and every
-    # coordinate, the self-conjugate ones too, carries its share
-    x = np.random.default_rng(17).standard_normal((32, 32, 32))
-    cells, c = _coordinates(np.fft.rfftn(x))
-    assert cells.size == _spectral_order(32)[0].size and c.size == x.size
+def test_coordinates_hold_the_norm_of_any_odd_field():
+    # white noise made odd in x and even in y and z has a purely imaginary
+    # spectrum, zero on the planes kx = 0 and n/2, and a flat one elsewhere:
+    # only the corner shell, which holds no energy, may be cut, and the
+    # kept Im coordinates carry the whole norm
+    n = 32
+    mirror = -np.arange(n) % n
+    w = np.random.default_rng(17).standard_normal((n, n, n))
+    x = w - w[mirror]
+    x = x + x[:, mirror]
+    x = x + x[:, :, mirror]
+    g = np.fft.rfftn(x).imag
+    cells, c = _coordinates(g)
+    order, _, starts = _spectral_order(n)
+    assert starts[-2] <= cells.size and np.array_equal(cells, order[: cells.size])
+    coords = g.ravel()[cells] * math.sqrt(2.0 / n**3)
+    assert np.array_equal(c, coords[coords != 0.0])
     assert abs(float(np.square(c).sum()) / float(np.square(x).sum()) - 1.0) <= 1e-14
 
 

@@ -99,10 +99,14 @@ CALLS = [
     # a covariance target hbar G / r that underflows (0.0, then 4.9e-324): exit 3
     ("covariance", "--grid-n", "32", "--box", "1e300", "--realizations", "100"),
     ("covariance", "--grid-n", "32", "--box", "1e280", "--realizations", "100"),
+    # a grid spacing box / n that underflows to 0: exit 3
+    ("covariance", "--grid-n", "32", "--box", "1e-323", "--realizations", "100"),
     # boxes where the SE's squares underflowed (1e120) and the spectrum overflowed
     # (1e-300): exit 0, with SE / target as at 1 m
     ("covariance", "--grid-n", "32", "--box", "1e120", "--realizations", "100"),
     ("covariance", "--grid-n", "32", "--box", "1e-300", "--realizations", "100"),
+    # a subnormal dx, where 4 dx and L/8 differ in their last bits: two rows, each once
+    ("covariance", "--grid-n", "32", "--box", "1e-310", "--realizations", "100"),
     # correct ensembles whose variance lies 1.8 and 2.2 exact SE low: exit 0
     ("simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07", "--separation",
      "7.19357e-08", "--horizon", "423.836", "--grid-n", "32", "--steps", "1", "--members",
@@ -110,6 +114,9 @@ CALLS = [
     ("simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07", "--separation",
      "7.19357e-08", "--horizon", "423.836", "--grid-n", "32", "--steps", "1", "--members",
      "64", "--seed", "248", "--workers", "1"),
+    # packets on grid nodes 4 apart, so step 0's coordinates at kx = n/4 are exactly 0
+    ("simulate", "--mass", "5.5028e-18", "--width", "1e-6", "--separation", "1.5e-6",
+     "--horizon", "2.609e4", "--grid-n", "32", "--box", "1.2e-5"),
     # rho = 0, and the closed-form head alone (beta >= 6 up to tau_max): exit 0
     ("variance", "--mu", "1", "--rho", "0", "--tau-max", "3"),
     ("variance", "--mu", "1", "--rho", "100", "--tau-max", "1"),
