@@ -35,20 +35,23 @@ same symmetry makes the filter F = ifftn(fftn(.) sqrt(P)) self-adjoint,
 which is what the ensemble simulator exploits: each member's phase is
 a sum over steps of <d_s, F w_s> with d_s the density difference of
 the two packets, so F d_s is filtered once per step and shared by every
-member. It never leaves the half spectrum: by Parseval, <F d_s, w_s>
-has the law of <c_s, z> over the independent real coordinates c_s of
-rfftn(F d_s), and z ~ N(0, I). The packets differ only along x, about
-the box centre, so rfftn(d_s) is the outer product of three length-n
-transforms, an odd imaginary one along x and two real ones: one normal
-is drawn per cell, for its Im, except on the planes kx = 0 and n/2.
-F d_s is a filtered difference of Gaussians, so its spectrum falls like
-exp(-k^2 C1 / 4), and the outer |k|^2 shells that together hold no more
-than 1e-17 of its energy are cut. A member-step is then one Philox draw
-of the kept coordinates and one reduction, and mu dtau sum_s ||c_s||^2
-is the lattice-exact ensemble variance, with no sampling at all. The
-covariance estimator needs only |rfftn(w)|^2 P, reduced to its three axis
-marginals and weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 /
-n^3 straight from its law, one exponential per cell, and makes no field.
+member. It never leaves the half spectrum: by Parseval, <F d_s, w_s> is
+a sum over the independent real coordinates of rfftn(F d_s), each times
+its own normal. The packets differ only along x, about the box centre,
+so rfftn(d_s) is the outer product of three length-n transforms, an odd
+imaginary one along x and two real ones: a cell's one coordinate is its
+Im, 0 on the planes kx = 0 and n/2. The part of the sum over one orbit
+of {+-kx} x {+-ky} x {+-kz} x {swap ky, kz} has the law of the orbit's
+norm times one normal, so <F d_s, w_s> has the law of <c_s, z>, c_s the
+orbit norms and z ~ N(0, I). F d_s is a filtered difference of
+Gaussians, so its spectrum falls like exp(-k^2 C1 / 4), and the outer
+|k|^2 shells that together hold no more than 1e-17 of its energy are
+cut. A member-step is then one Philox draw, one normal per kept orbit,
+and one reduction, and mu dtau sum_s ||c_s||^2 is the lattice-exact
+ensemble variance, with no sampling at all. The covariance estimator
+needs only |rfftn(w)|^2 P, reduced to its three axis marginals and
+weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 / n^3 straight
+from its law, one exponential per cell, and makes no field.
 
 Every random draw in the package, here and in the oracle, comes from
 ``stream``: a Philox generator keyed by (seed, domain tag) with counter
@@ -458,38 +461,44 @@ _CUT = 1e-17
 def _spectral_order(n: int) -> tuple[np.ndarray, ...]:
     """The kept cells of the rfftn half spectrum, those of ``_cell_weight``
     above 0, cached per n. Returns, as int32 arrays, ``order``: their flat
-    indices, stably sorted by |k|^2; ``label``: the |k|^2 of every cell,
-    which labels its shell; ``starts``: where the shell |k|^2 = j begins in
-    ``order`` for j = 0 .. max |k|^2 + 1, the last being its length.
+    indices, stably sorted by orbit; ``label``: the |k|^2, or shell, of
+    every cell; ``starts``: where the shell |k|^2 = j begins in ``order``
+    for j = 0 .. max |k|^2 + 1, the last being its length; ``orbit``: the
+    rank of each entry's orbit under {+-kx} x {+-ky} x {+-kz} x {swap ky, kz}
+    by (|k|^2, |kx|, min(|ky|, |kz|), max(|ky|, |kz|)), which k -> -k keeps.
     """
-    i = np.arange(n, dtype=np.int32)
-    k = np.where(i < n // 2, i, i - n)  # signed frequency of index i
-    k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + i[: n // 2 + 1] ** 2).ravel()
-    cells = np.flatnonzero(_cell_weight(n)).astype(np.int32)
-    order = cells[np.argsort(k2[cells], kind="stable")]
-    starts = np.searchsorted(k2[order], np.arange(k2.max() + 2)).astype(np.int32)
-    return order, k2, starts
+    a = np.minimum(np.arange(n), n - np.arange(n))  # |k| at each index
+    ax, ay, az = np.meshgrid(a, a, a[: n // 2 + 1], indexing="ij", sparse=True)
+    k2 = ax * ax + ay * ay + az * az
+    key = (((k2 * n + ax) * n + np.minimum(ay, az)) * n + np.maximum(ay, az)).ravel()
+    cells = np.flatnonzero(_cell_weight(n))
+    order = cells[np.argsort(key[cells], kind="stable")]
+    orbit = np.unique(key[order], return_inverse=True)[1]
+    starts = np.searchsorted(k2.ravel()[order], np.arange(k2.max() + 2))
+    return tuple(x.astype(np.int32) for x in (order, k2.ravel(), starts, orbit))
 
 
 def _coordinates(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kept cells and coordinates c of a real field odd in x, given g,
-    the Im of its rfftn half spectrum (its Re is 0, and g is 0 on the
-    planes kx = 0 and n/2, where every self-conjugate cell lies).
+    """The kept cells of a real field odd in x, given g, the Im of its rfftn
+    half spectrum (its Re is 0, and g is 0 on the planes kx = 0 and n/2,
+    where every self-conjugate cell lies), and the norms c of its kept
+    coordinates, the Im of each cell weighted sqrt(2/N), over each orbit.
 
     <field, w> over n^3 iid standard normals w has the law of <c, z>,
-    z ~ N(0, I) (Parseval): each kept cell gives its Im, weighted
-    sqrt(2/N). A coordinate that is exactly 0 adds nothing to <c, z> and
-    is left out. The longest run of outer |k|^2 shells holding at most
-    ``_CUT`` of the field's squared norm is left out, so the cells are a
-    prefix of ``order``.
+    z ~ N(0, I): by Parseval it is a sum of the coordinates, each times
+    its own normal. A norm that is exactly 0 adds nothing and is left out.
+    The longest run of outer |k|^2 shells holding at most ``_CUT`` of the
+    field's squared norm is left out, so the cells are a prefix of
+    ``order`` and their orbits a prefix of the ranks.
     """
     n = g.shape[0]
-    order, label, starts = _spectral_order(n)
+    order, label, starts, orbit = _spectral_order(n)
     e = np.square(g)
     e *= _cell_weight(n)
     tail = np.cumsum(np.bincount(label, weights=e.ravel())[::-1])[::-1]
     cells = order[: starts[np.count_nonzero(tail > _CUT * tail[0])]]
     c = g.ravel()[cells] * math.sqrt(2.0 / n**3)
+    c = np.sqrt(np.bincount(orbit[: cells.size], weights=c * c))
     return cells, c[c != 0.0]
 
 
@@ -514,7 +523,7 @@ def _ensemble(
     the rffts of ``_profile``: X the Im of the x profile difference's, made
     odd, so exactly 0 at kx = 0 and n/2; Y, Z the Re of the centred one's.
     So a step builds only that Im, f_s X Y Z sqrt(P), as one real array, and
-    c_s holds its kept cells off the planes kx = 0 and n/2.
+    c_s holds the norms of its kept orbits off the planes kx = 0 and n/2.
     """
     d = nondimensionalize(p, constants)
     horizon = grid.n_steps * grid.dt

@@ -146,26 +146,26 @@ def integrand_I(rho: float, tau: float) -> float:
     b = beta(rho, tau)
     return b * (b * _I_over_beta2(b))
 
+# (-1)^(k+1) / (k! (2k + 1)), highest k first: the series of I(b) / b^3 in b^2
+_SERIES = tuple((-1) ** (k + 1) / (math.factorial(k) * (2 * k + 1)) for k in range(18, 0, -1))
+
 
 def _I_over_beta2(b: float) -> float:
-    """I(b) / b^2 = b/3 - b^3/10 + b^5/42 - ..., by series below b = 1/4.
+    """I(b) / b^2 = b/3 - b^3/10 + b^5/42 - ..., by series below b = 0.95.
 
-    The direct subtraction loses all precision for small b; for b above
-    1e150, where b^2 would overflow, I(b) is b itself.
+    The direct subtraction cancels more as b falls, and from 0.95 up it is
+    within 1e-15 of the exact value; for b above 1e150, where b^2 would
+    overflow, I(b) is b itself. The series' 18 terms, summed by Horner's
+    rule in b^2, leave under 1e-17 of it out at b = 0.95.
     """
     if b > 1e150:
         return 1.0 / b
-    if b < 0.25:
-        b2 = b * b
-        term = b / 3.0
-        out = term
-        k = 1
-        while True:
-            term *= -b2 * (2 * k + 1) / ((k + 1) * (2 * k + 3))
-            out += term
-            k += 1
-            if abs(term) <= 1e-17 * abs(out) or k > 40:
-                return out
+    if b < 0.95:
+        u = b * b
+        out = 0.0
+        for c in _SERIES:
+            out = out * u + c
+        return b * out
     return (b - _HALF_SQRT_PI * math.erf(b)) / (b * b)
 
 

@@ -234,9 +234,8 @@ def test_simulate_preconditions():
 def _drawn_white_field(cells, z, n):
     """The real white field whose rfftn coordinates at ``cells`` are Im = z.
 
-    A step's spectrum is purely imaginary and zero on the planes kx = 0 and
-    n/2, so the ensemble draws one normal per kept cell off those planes, for
-    its Im; z is scaled back to the coefficients of white noise
+    A step's spectrum is purely imaginary, so only the Im of the kept cells
+    carries its phase; z is scaled back to the coefficients of white noise
     (E |W_k|^2 = n^3) and every mirror is filled in; every other mode is zero.
     """
     ix, iy, iz = np.unravel_index(cells, (n, n, n // 2 + 1))
@@ -263,12 +262,19 @@ def test_member_phase_matches_unfiltered_dot():
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
         lo = _density_grid(n, box, (half - d.rho / 2.0, half, half), c1)
         hi = _density_grid(n, box, (half + d.rho / 2.0, half, half), c1)
-        cells, _ = _coordinates(
-            np.fft.rfftn((lo - hi) * (box / n) ** 3).imag * amp[:, :, : n // 2 + 1]
-        )
-        cells = cells[cells // (n * (n // 2 + 1)) % (n // 2) != 0]  # kx not 0 or n/2
-        z = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(cells.size)
-        w = _drawn_white_field(cells, z, n)
+        g = np.fft.rfftn((lo - hi) * (box / n) ** 3).imag * amp[:, :, : n // 2 + 1]
+        g[:: n // 2] = 0.0  # exactly 0 at kx = 0 and n/2, as _ensemble builds it
+        cells, _ = _coordinates(g)
+        # each drawn orbit's normal, spread over its cells as z c_k / ||c_orbit||
+        c = g.ravel()[cells] * math.sqrt(2.0 / n**3)
+        orbit = _spectral_order(n)[3][: cells.size]
+        norm = np.sqrt(np.bincount(orbit, weights=c * c))
+        z = np.zeros(norm.size)
+        z[norm != 0.0] = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(
+            np.count_nonzero(norm))
+        drawn = norm[orbit] != 0.0
+        g_of = orbit[drawn]
+        w = _drawn_white_field(cells[drawn], z[g_of] * c[drawn] / norm[g_of], n)
         phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
         acc += float(np.dot(((lo - hi) * (box / n) ** 3).ravel(), phi.ravel()))
     old = -math.sqrt(d.mu * dtau) * acc
@@ -329,7 +335,7 @@ def test_kept_cells_are_a_whole_shell_prefix(mu, rho, tau_max, n, steps):
     grid = _grid_for(pair, n=n, steps=steps)
     box = grid.box_length / pair.a
     amp = np.sqrt(_unit_spectrum(n, box / n))
-    order, _, starts = _spectral_order(n)
+    order, _, starts, _ = _spectral_order(n)
     k = np.fft.fftfreq(n, 1.0 / n)
     k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k**2).astype(int)
     dd = next(_differences(pair, grid))
@@ -364,15 +370,65 @@ def test_cell_weights_partition_the_full_spectrum(n):
     assert sorted(map(tuple, np.argwhere(w == 1).tolist())) == [
         (x, y, z) for x in edge for y in edge for z in edge
     ]
-    order, _, _ = _spectral_order(n)
+    order, _, _, _ = _spectral_order(n)
     assert np.array_equal(np.sort(order), np.flatnonzero(w > 0))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_orbits_partition_the_kept_cells(n):
+    # an orbit is a kept cell's image under {+-kx} x {+-ky} x {+-kz} x
+    # {swap ky, kz}, each image read where the half spectrum holds it (k or -k)
+    from gravphase.noisefield import _cell_weight
+    order, label, starts, orbit = _spectral_order(n)
+    h = n // 2
+    assert orbit[0] == 0 and (np.diff(orbit) >= 0).all() and np.diff(orbit).max() == 1
+    rank = np.full(n * n * (h + 1), -1)
+    rank[order] = orbit
+    kept = _cell_weight(n).ravel() > 0
+    k = (np.stack(np.unravel_index(order, (n, n, h + 1))) + h) % n - h  # signed k
+    for sx, sy, sz, swap in np.ndindex(2, 2, 2, 2):
+        im = k * np.array([1 - 2 * sx, 1 - 2 * sy, 1 - 2 * sz])[:, None]
+        if swap:
+            im = im[[0, 2, 1]]
+        flat = [np.ravel_multi_index(m % n, (n, n, h + 1), mode="wrap") for m in (im, -im)]
+        held = [(m[2] % n <= h) & kept[f] for m, f in zip((im, -im), flat)]
+        assert (held[0] | held[1]).all()
+        assert (rank[np.where(held[0], flat[0], flat[1])] == orbit).all()
+    # one |k|^2 and one label (|kx|, min(|ky|, |kz|), max(|ky|, |kz|)) per
+    # orbit, distinct labels for distinct orbits, ranked by (|k|^2, label)
+    a = np.abs(k)
+    key = np.stack([label[order], a[0], a[1:].min(axis=0), a[1:].max(axis=0)])
+    first = np.flatnonzero(np.diff(orbit, prepend=-1))
+    assert (key[:, first][:, orbit] == key).all()
+    ranked = list(map(tuple, key[:, first].T.tolist()))
+    assert ranked == sorted(set(ranked))
+    # so every shell begins an orbit, and a shell prefix is an orbit prefix
+    assert set(starts.tolist()) <= set(first.tolist()) | {order.size}
+
+
+@pytest.mark.parametrize("tau_max, steps, draws", [(0.1, 8, 6124), (3.0, 30, 118965)])
+def test_c12_members_draw_one_normal_per_kept_orbit(monkeypatch, tau_max, steps, draws):
+    # the normals a member draws over all steps at the c12 geometries, n = 64,
+    # one per kept orbit; one per kept cell drew 40960 and 865226
+    sizes = []
+    coordinates = noisefield._coordinates
+
+    def counted(g):
+        cells, c = coordinates(g)
+        sizes.append(c.size)
+        return cells, c
+
+    monkeypatch.setattr(noisefield, "_coordinates", counted)
+    pair = _pair(1.0, 1.0, tau_max)
+    _ensemble(pair, _grid_for(pair, n=64, steps=steps), 0)
+    assert sum(sizes) == draws
 
 
 def test_coordinates_hold_the_norm_of_any_odd_field():
     # white noise made odd in x and even in y and z has a purely imaginary
     # spectrum, zero on the planes kx = 0 and n/2, and a flat one elsewhere:
     # only the corner shell, which holds no energy, may be cut, and the
-    # kept Im coordinates carry the whole norm
+    # norms over the orbits of the kept Im coordinates carry the whole norm
     n = 32
     mirror = -np.arange(n) % n
     w = np.random.default_rng(17).standard_normal((n, n, n))
@@ -381,10 +437,11 @@ def test_coordinates_hold_the_norm_of_any_odd_field():
     x = x + x[:, :, mirror]
     g = np.fft.rfftn(x).imag
     cells, c = _coordinates(g)
-    order, _, starts = _spectral_order(n)
+    order, _, starts, orbit = _spectral_order(n)
     assert starts[-2] <= cells.size and np.array_equal(cells, order[: cells.size])
     coords = g.ravel()[cells] * math.sqrt(2.0 / n**3)
-    assert np.array_equal(c, coords[coords != 0.0])
+    norms = np.sqrt(np.bincount(orbit[: cells.size], weights=coords * coords))
+    assert np.array_equal(c, norms[norms != 0.0])
     assert abs(float(np.square(c).sum()) / float(np.square(x).sum()) - 1.0) <= 1e-14
 
 

@@ -96,6 +96,20 @@ def test_small_beta_series_matches_direct():
         assert math.isclose(via, series, rel_tol=1e-12)
 
 
+def test_I_over_beta2_matches_mpmath_across_the_series_switch():
+    # the direct form (b - sqrt(pi)/2 erf b) / b^2 cancels as b falls (1.4e-14
+    # on [0.25, 0.5]); the series takes over wherever it would lose 1e-15
+    mp = pytest.importorskip("mpmath")
+    from gravphase.variance import _I_over_beta2
+
+    with mp.workdps(40):
+        for j in range(1501):
+            b = 0.25 + 0.75 * j / 1500
+            x = mp.mpf(b)
+            exact = (x - mp.sqrt(mp.pi) / 2 * mp.erf(x)) / (x * x)
+            assert abs(mp.mpf(_I_over_beta2(b)) - exact) <= 1e-15 * exact
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     mu=st.floats(1e-4, 1e6),
