@@ -9,7 +9,7 @@ cell average of 1/r (the integral of 1/|u| over a unit cube is
 2.3800774 dx^2, so K(0) = 2.3800774 hbar G / dx), and filter white noise
 with the square root of the kernel's DFT,
 
-    phi = ifftn(fftn(w) sqrt(P)) / sqrt(dt),      P = fftn(K) >= 0.
+    phi = ifftn(fftn(w) sqrt(P)) / sqrt(dt),      P = DFT(K) >= 0.
 
 Because the field is then literally a convolution of iid Gaussians, its
 lattice covariance equals K at every lag in expectation, with no band
@@ -17,41 +17,37 @@ limit or truncation artifacts: the measured two-point function matches
 hbar G / r exactly (up to sampling noise) for all separations below half
 the box. The minimum-image kernel row is what keeps the spectrum
 positive, as circulant embedding needs (Dietrich and Newsam 1997); a
-sharp spherical cutoff at L/2 does not. dx only scales P, and the
-minimum of P times dx measures 0.559496, 0.558744, 0.558556 and 0.558509
-at n = 32, 64, 128 and 256: the gaps shrink fourfold per doubling of n,
-so the minimum tends to about 0.5585 / dx and no mode is ever negative.
+sharp spherical cutoff at L/2 does not. The row is even in each axis, so
+P is the 3-D DCT-I of its (n/2 + 1)^3 octant (Martucci 1994), built once
+per n for unit spacing; P(n, dx) is that over dx. The minimum of P times
+dx measures 0.559496, 0.558744, 0.558556 and 0.558509 at n = 32, 64, 128
+and 256: the gaps shrink fourfold per doubling of n, so the minimum
+tends to about 0.5585 / dx and no mode is ever negative.
 
-The 1/sqrt(dt) factor realizes the white-in-time normalization on a
-discrete time grid: fields at different steps are independent, and the
-covariance times dt reproduces the delta-correlation weight.
+The 1/sqrt(dt) factor realizes the white-in-time normalization: fields at
+different steps are independent, and covariance times dt is the delta weight.
 
-P is real and even (P(k) = P(-k)), so only the half spectrum over the
-last axis is used: ``rfftn``/``irfftn`` with ``P[:, :, :n//2 + 1]``. The
-same symmetry makes the filter F = ifftn(fftn(.) sqrt(P)) self-adjoint,
+P is real and even, so the field is filtered over the rfftn half
+spectrum, and the filter F = ifftn(fftn(.) sqrt(P)) is self-adjoint,
 
     <d, F w> = <F d, w>,
 
 which is what the ensemble simulator exploits: each member's phase is
 a sum over steps of <d_s, F w_s> with d_s the density difference of
 the two packets, so F d_s is filtered once per step and shared by every
-member. It never leaves the half spectrum: by Parseval, <F d_s, w_s> is
-a sum over the independent real coordinates of rfftn(F d_s), each times
-its own normal. The packets differ only along x, about the box centre,
-so rfftn(d_s) is the outer product of three length-n transforms, an odd
-imaginary one along x and two real ones: a cell's one coordinate is its
-Im, 0 on the planes kx = 0 and n/2. The part of the sum over one orbit
-of {+-kx} x {+-ky} x {+-kz} x {swap ky, kz} has the law of the orbit's
-norm times one normal, so <F d_s, w_s> has the law of <c_s, z>, c_s the
-orbit norms and z ~ N(0, I). F d_s is a filtered difference of
-Gaussians, so its spectrum falls like exp(-k^2 C1 / 4), and the outer
-|k|^2 shells that together hold no more than 1e-17 of its energy are
-cut. A member-step is then one Philox draw, one normal per kept orbit,
-and one reduction, and mu dtau sum_s ||c_s||^2 is the lattice-exact
-ensemble variance, with no sampling at all. The covariance estimator
-needs only |rfftn(w)|^2 P, reduced to its three axis marginals and
-weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 / n^3 straight
-from its law, one exponential per cell, and makes no field.
+member. The packets differ only along x, about the box centre, so the
+spectrum of F d_s is i X(kx) Y(ky) Y(kz) sqrt(P), from three length-n
+transforms, with one magnitude over each orbit of {+-kx} x {+-ky} x
+{+-kz} x {swap ky, kz}. By Parseval <F d_s, w_s> has the law of
+<c_s, z>, c_s the orbit norms and z ~ N(0, I). F d_s is a filtered
+difference of Gaussians, so its spectrum falls like exp(-k^2 C1 / 4),
+and the outer |k|^2 shells that together hold no more than 1e-17 of its
+energy are cut. A member-step is then one Philox draw, one normal per
+kept orbit, and one reduction, and mu dtau sum_s ||c_s||^2 is the
+lattice-exact ensemble variance, with no sampling at all. The covariance
+estimator needs only |rfftn(w)|^2 P, reduced to its three axis marginals
+and weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 / n^3
+straight from its law, one exponential per cell, and makes no field.
 
 Every random draw in the package, here and in the oracle, comes from
 ``stream``: a Philox generator keyed by (seed, domain tag) with counter
@@ -226,32 +222,37 @@ def stream(
     return Generator(Philox(key=key, counter=counter))
 
 
-def _kernel_row(n: int, dx: float) -> np.ndarray:
-    """The min-image 1/r kernel row for unit coupling, K(0) from the cell average."""
-    o = (np.arange(n) + n // 2) % n - n // 2
-    ox, oy, oz = np.meshgrid(o, o, o, indexing="ij", sparse=True)
-    r = np.sqrt((ox * ox + oy * oy + oz * oz).astype(float)) * dx
-    r[0, 0, 0] = 1.0
-    k_row = 1.0 / r
-    k_row[0, 0, 0] = CUBE_SELF_CONSTANT / dx
-    return k_row
+@functools.cache
+def _octant(n: int) -> np.ndarray:
+    """P for unit spacing at |kx|, |ky|, |kz| = 0 .. n/2, cached per n and
+    read-only: the DFT of the min-image kernel row 1/r with K(0) =
+    ``CUBE_SELF_CONSTANT``. The row for spacing dx is this one over dx, so
+    P(n, dx) = P / dx, and callers scale by hbar G / dx.
 
-
-def _unit_spectrum(n: int, dx: float) -> np.ndarray:
-    """DFT of the kernel row over the full grid; always > 0. Not cached."""
-    return np.fft.fftn(_kernel_row(n, dx)).real
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_half_spectrum(n: int, dx: float) -> np.ndarray:
-    """``_unit_spectrum`` over the rfftn half (kz = 0 .. n/2), cached.
-
-    The kernel row is even, so the half holds every value of the full
-    spectrum. The copy keeps the cache from holding the complex transform.
+    The row is even along each axis, so its DFT is the 3-D DCT-I of the
+    row's (n/2 + 1)^3 octant (Martucci 1994), and one DCT-I along an axis
+    is the real part of the rfft of the length-n even extension. Each cell
+    is read at its sorted index triple, so P is exactly symmetric under
+    axis permutations.
     """
-    p = np.fft.rfftn(_kernel_row(n, dx)).real.copy()
+    a = np.arange(n // 2 + 1)
+    x, y, z = np.meshgrid(a, a, a, indexing="ij", sparse=True)
+    p = 1.0 / np.sqrt(np.maximum(x * x + y * y + z * z, 1.0))
+    p[0, 0, 0] = CUBE_SELF_CONSTANT
+    fold = np.minimum(np.arange(n), n - np.arange(n))  # |offset| at each index
+    for axis in _AXES:
+        p = np.fft.rfft(np.take(p, fold, axis), axis=axis).real
+    lo, hi = np.minimum(np.minimum(x, y), z), np.maximum(np.maximum(x, y), z)
+    p = p[lo, x + y + z - lo - hi, hi]
     p.flags.writeable = False  # cached, so every caller shares this array
     return p
+
+
+def _half_spectrum(n: int) -> np.ndarray:
+    """P for unit spacing over the rfftn half spectrum (kz = 0 .. n/2): the
+    octant at the |k| of each index. P is even, so the half holds every value."""
+    f = np.minimum(np.arange(n), n - np.arange(n))  # |k| at each index
+    return _octant(n)[np.ix_(f, f, f[: n // 2 + 1])]
 
 
 @functools.cache
@@ -288,7 +289,9 @@ def sample_field_step(
     raw two-point function, so the default keeps it and reproduces
     hbar G / r without a constant offset.
     """
-    amp = np.sqrt(constants.hbar * constants.G * _unit_half_spectrum(grid.n, grid.dx))
+    # two roots, as hbar G / dx overflows at the tiniest boxes in natural units
+    scale = math.sqrt(constants.hbar * constants.G) / math.sqrt(grid.dx)
+    amp = np.sqrt(_half_spectrum(grid.n)) * scale
     if zero_mean:
         amp[0, 0, 0] = 0.0
     w = stream(grid.seed, _TAG_FIELD, member, step).standard_normal((grid.n,) * 3)
@@ -345,7 +348,7 @@ def measured_covariance(
     if constants.hbar * constants.G / (max(lags) * dx) < sys.float_info.min:
         raise OverflowError(f"target hbar G / r underflows at box {grid.box_length} m")
     n = grid.n
-    p = _unit_half_spectrum(n, 1.0) * _cell_weight(n)  # hbar G / dx factored out
+    p = _half_spectrum(n) * _cell_weight(n)  # hbar G / dx factored out
     cos_x = np.cos(2.0 * math.pi * (np.outer(lags, np.arange(n)) % n) / n)
     cos_z = cos_x[:, : n // 2 + 1]
     norm = 3.0 * float(n) ** 3
@@ -458,48 +461,50 @@ _CUT = 1e-17
 
 
 @functools.cache
-def _spectral_order(n: int) -> tuple[np.ndarray, ...]:
-    """The kept cells of the rfftn half spectrum, those of ``_cell_weight``
-    above 0, cached per n. Returns, as int32 arrays, ``order``: their flat
-    indices, stably sorted by orbit; ``label``: the |k|^2, or shell, of
-    every cell; ``starts``: where the shell |k|^2 = j begins in ``order``
-    for j = 0 .. max |k|^2 + 1, the last being its length; ``orbit``: the
-    rank of each entry's orbit under {+-kx} x {+-ky} x {+-kz} x {swap ky, kz}
-    by (|k|^2, |kx|, min(|ky|, |kz|), max(|ky|, |kz|)), which k -> -k keeps.
+def _orbits(n: int) -> tuple[np.ndarray, ...]:
+    """One row per orbit of {+-kx} x {+-ky} x {+-kz} x {swap ky, kz} off the
+    planes kx = 0 and n/2, ranked by (|k|^2, label); cached per n, read-only.
+
+    Returns ``label``: a (3, rows) array of (kx, ky, kz), 0 < kx < n/2 and
+    0 <= ky <= kz <= n/2; ``shell``: the |k|^2 of each row; ``starts``: where
+    the shell |k|^2 = j begins, for j = 0 .. max |k|^2 + 1, the last being the
+    row count; ``weight``: the orbit's cell count in the full n^3 spectrum
+    over n^3, times P for unit spacing.
     """
-    a = np.minimum(np.arange(n), n - np.arange(n))  # |k| at each index
-    ax, ay, az = np.meshgrid(a, a, a[: n // 2 + 1], indexing="ij", sparse=True)
-    k2 = ax * ax + ay * ay + az * az
-    key = (((k2 * n + ax) * n + np.minimum(ay, az)) * n + np.maximum(ay, az)).ravel()
-    cells = np.flatnonzero(_cell_weight(n))
-    order = cells[np.argsort(key[cells], kind="stable")]
-    orbit = np.unique(key[order], return_inverse=True)[1]
-    starts = np.searchsorted(k2.ravel()[order], np.arange(k2.max() + 2))
-    return tuple(x.astype(np.int32) for x in (order, k2.ravel(), starts, orbit))
+    h = n // 2
+    ky, kz = np.triu_indices(h + 1)
+    kx = np.repeat(np.arange(1, h), ky.size)
+    ky, kz = np.tile(ky, h - 1), np.tile(kz, h - 1)
+    shell = kx * kx + ky * ky + kz * kz
+    rank = np.lexsort((kz, ky, kx, shell))
+    label = np.stack((kx, ky, kz))[:, rank].astype(np.int32)
+    shell = shell[rank].astype(np.int32)
+    kx, ky, kz = label
+    # 2 signs of kx, 2 of ky and of kz off 0 and n/2, 2 orders of ky != kz
+    count = 2 * (2 - (ky % h == 0)) * (2 - (kz % h == 0)) * (1 + (ky != kz))
+    weight = count / float(n) ** 3 * _octant(n)[kx, ky, kz]
+    starts = np.searchsorted(shell, np.arange(shell[-1] + 2)).astype(np.int32)
+    for a in (label, shell, starts, weight):
+        a.flags.writeable = False  # cached, so every caller shares these arrays
+    return label, shell, starts, weight
 
 
-def _coordinates(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kept cells of a real field odd in x, given g, the Im of its rfftn
-    half spectrum (its Re is 0, and g is 0 on the planes kx = 0 and n/2,
-    where every self-conjugate cell lies), and the norms c of its kept
-    coordinates, the Im of each cell weighted sqrt(2/N), over each orbit.
-
-    <field, w> over n^3 iid standard normals w has the law of <c, z>,
-    z ~ N(0, I): by Parseval it is a sum of the coordinates, each times
-    its own normal. A norm that is exactly 0 adds nothing and is left out.
+def _coordinates(x: np.ndarray, yz: np.ndarray) -> tuple[int, np.ndarray]:
+    """The norms c over each orbit of ``_orbits(n)`` of the real field with
+    rfftn i X(kx) Y(ky) Y(kz) sqrt(P), P for unit spacing, given x = X and
+    yz = Y at k = 0 .. n/2, X odd and Y even: c^2 = (X Y Y)^2 ``weight``.
+    <field, w> over iid standard normals w has the law of <c, z>, z ~ N(0, I).
     The longest run of outer |k|^2 shells holding at most ``_CUT`` of the
-    field's squared norm is left out, so the cells are a prefix of
-    ``order`` and their orbits a prefix of the ranks.
+    squared norm is left out, and so is a norm that is exactly 0. Returns
+    how many leading rows are kept, a shell prefix, and c.
     """
-    n = g.shape[0]
-    order, label, starts, orbit = _spectral_order(n)
-    e = np.square(g)
-    e *= _cell_weight(n)
-    tail = np.cumsum(np.bincount(label, weights=e.ravel())[::-1])[::-1]
-    cells = order[: starts[np.count_nonzero(tail > _CUT * tail[0])]]
-    c = g.ravel()[cells] * math.sqrt(2.0 / n**3)
-    c = np.sqrt(np.bincount(orbit[: cells.size], weights=c * c))
-    return cells, c[c != 0.0]
+    label, shell, starts, weight = _orbits(2 * (x.size - 1))
+    kx, ky, kz = label
+    e = np.square(x[kx] * yz[ky] * yz[kz]) * weight
+    tail = np.cumsum(np.bincount(shell, weights=e)[::-1])[::-1]
+    kept = int(starts[np.count_nonzero(tail > _CUT * tail[0])])
+    c = np.sqrt(e[:kept])
+    return kept, c[c != 0.0]
 
 
 def _ensemble(
@@ -514,16 +519,14 @@ def _ensemble(
     Member ``mem``'s phase is -sqrt(mu dtau) sum_s <g_s, w_s> with
     g_s = F d_s the filtered density difference of step s (the adjoint
     form of <d_s, F w_s>) and w_s white noise, drawn as <c_s, z_s> with
-    c_s = ``_coordinates(Im(rfftn(d_s)) sqrt(P))`` and z_s the first len(c_s)
-    normals of stream (mem, s). The cut depends on g_s alone, never on the
-    seed or the worker count, and one more shell only lengthens the draw.
-    The phases are Gaussian with variance mu dtau sum_s ||c_s||^2.
+    c_s the step's ``_coordinates`` and z_s the first len(c_s) normals of
+    stream (mem, s). The cut depends on g_s alone, never on the seed or
+    the worker count, and one more shell only lengthens the draw. The
+    phases are Gaussian with variance mu dtau sum_s ||c_s||^2.
 
-    rfftn(d_s) = f_s i X(kx) Y(ky) Z(kz), f_s = cell / (pi c1)^(3/2), from
-    the rffts of ``_profile``: X the Im of the x profile difference's, made
-    odd, so exactly 0 at kx = 0 and n/2; Y, Z the Re of the centred one's.
-    So a step builds only that Im, f_s X Y Z sqrt(P), as one real array, and
-    c_s holds the norms of its kept orbits off the planes kx = 0 and n/2.
+    rfftn(d_s) = f_s i X(kx) Y(ky) Y(kz), f_s = cell / (pi c1)^(3/2), X the
+    Im of the rfft of the x profile difference, Y the Re of the centred
+    profile's. With hbar G = 1, P(n, dx) is the unit P over dx.
     """
     d = nondimensionalize(p, constants)
     horizon = grid.n_steps * grid.dt
@@ -537,25 +540,21 @@ def _ensemble(
             f"box_length {grid.box_length} below 8*max(R, sqrt(C1(T))) = {required}"
         )
 
-    n, h = grid.n, grid.n // 2
+    n = grid.n
     box = grid.box_length / p.a  # box in units of a
+    dx = box / n
     dtau = d.tau_max / grid.n_steps
     half = box / 2.0
 
     # coordinates of the filtered density difference per step, shared by all members
-    amp = np.sqrt(_unit_half_spectrum(n, box / n))  # hbar G = 1
     cs = []
     for s in range(grid.n_steps):
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
-        f = (box / n) ** 3 / (math.pi * c1) ** 1.5
+        f = dx**2.5 / (math.pi * c1) ** 1.5  # cell / (pi c1)^(3/2) / sqrt(dx)
         x = f * np.fft.rfft(
             _profile(n, box, half - d.rho / 2.0, c1) - _profile(n, box, half + d.rho / 2.0, c1)
         ).imag
-        yz = np.fft.rfft(_profile(n, box, half, c1)).real
-        g = np.concatenate((x, -x[h - 1 : 0 : -1]))[:, None, None]
-        g = g * np.concatenate((yz, yz[h - 1 : 0 : -1]))[:, None] * yz
-        g *= amp
-        cs.append(_coordinates(g)[1])
+        cs.append(_coordinates(x, np.fft.rfft(_profile(n, box, half, c1)).real)[1])
 
     mu_dtau = d.mu * dtau
     scale = math.sqrt(mu_dtau)

@@ -22,7 +22,6 @@ from gravphase import noisefield
 from gravphase.noisefield import (
     FieldGrid,
     _ensemble,
-    _unit_spectrum,
     default_workers,
     measured_covariance,
     sample_field_step,
@@ -41,6 +40,7 @@ from gravphase.units import (
     CODATA2018, NATURAL, DimensionlessParams, make_params, nondimensionalize,
 )
 from gravphase.variance import i7, phase_variance
+from kernel_reference import full_spectrum
 
 HBAR = CODATA2018.hbar
 G = CODATA2018.G
@@ -229,7 +229,7 @@ def _lag_weights(n, lag):
     for unit hbar G: a realization at this lag is sum_k a_k |fftn(w)_k|^2 / n^3."""
     c = np.cos(2.0 * math.pi * np.arange(n) * lag / n)
     cosines = c[:, None, None] + c[:, None] + c
-    return _unit_spectrum(n, 1.0 / n) * cosines / (3.0 * n**3)
+    return full_spectrum(n, 1.0 / n) * cosines / (3.0 * n**3)
 
 
 @pytest.mark.parametrize("n, lags", [(64, (4, 8, 12, 16)), (32, (1, 2, 4, 8, 16))])

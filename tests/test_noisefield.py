@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +27,12 @@ from gravphase.noisefield import (
     stream,
 )
 from gravphase.noisefield import (
-    _CUT, _TAG_SIM, _coordinates, _density_grid, _ensemble, _spectral_order, _unit_spectrum,
+    _CUT, _TAG_SIM, _coordinates, _density_grid, _ensemble, _half_spectrum, _octant, _orbits,
 )
 from gravphase.packets import GaussianPacket
 from gravphase.units import CODATA2018, NATURAL, make_params, nondimensionalize
 from gravphase.variance import phase_variance
+from kernel_reference import full_spectrum
 
 HBAR = CODATA2018.hbar
 G = CODATA2018.G
@@ -99,6 +102,23 @@ def test_field_dt_scaling():
     f1 = sample_field_step(g1, 0, 0)
     f4 = sample_field_step(g4, 0, 0)
     assert np.allclose(f1, 2.0 * f4)
+
+
+@pytest.mark.parametrize("box, constants", [
+    (1e-305, CODATA2018), (1e-310, CODATA2018), (1e-310, NATURAL),
+], ids=["1e-305", "1e-310", "1e-310-natural"])
+def test_field_step_is_finite_at_tiny_boxes(box, constants):
+    # P is built for unit spacing and scaled by sqrt(hbar G) / sqrt(dx), so a
+    # box whose 1 / dx nears or passes the double range makes no overflow:
+    # the field is the one at 1 m scaled by sqrt(1 m / box)
+    g = FieldGrid(n=32, box_length=box, dt=1.0, n_steps=1, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = sample_field_step(g, 0, 0, constants)
+    unit = FieldGrid(n=32, box_length=1.0, dt=1.0, n_steps=1, seed=7)
+    ref = sample_field_step(unit, 0, 0, constants)
+    assert np.isfinite(phi).all()
+    assert np.abs(phi * math.sqrt(box) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_measured_covariance_matches_kernel():
@@ -231,53 +251,59 @@ def test_simulate_preconditions():
         simulate_phase_variance(pair, small_box, 64)
 
 
-def _drawn_white_field(cells, z, n):
-    """The real white field whose rfftn coordinates at ``cells`` are Im = z.
-
-    A step's spectrum is purely imaginary, so only the Im of the kept cells
-    carries its phase; z is scaled back to the coefficients of white noise
-    (E |W_k|^2 = n^3) and every mirror is filled in; every other mode is zero.
-    """
-    ix, iy, iz = np.unravel_index(cells, (n, n, n // 2 + 1))
-    big = np.zeros((n, n, n), dtype=complex)
-    big[ix, iy, iz] = 1j * math.sqrt(n**3 / 2) * z
-    big[-ix % n, -iy % n, -iz % n] = np.conj(big[ix, iy, iz])
-    return np.fft.ifftn(big).real
+def _orbit_rows(n):
+    """The ``_orbits(n)`` row of each cell of the full n^3 spectrum, the one
+    labelled (|kx|, min(|ky|, |kz|), max(|ky|, |kz|)); -1 on the planes
+    kx = 0 and n/2, which no row holds."""
+    label = _orbits(n)[0]
+    row = np.full((n // 2 + 1,) * 3, -1)
+    row[tuple(label)] = np.arange(label.shape[1])
+    a = np.minimum(np.arange(n), n - np.arange(n))
+    ax, ay, az = np.meshgrid(a, a, a, indexing="ij", sparse=True)
+    return row[ax, np.minimum(ay, az), np.maximum(ay, az)]
 
 
-def test_member_phase_matches_unfiltered_dot():
+def _drawn_steps(monkeypatch, pair, grid, n_members=0):
+    """``_ensemble``'s phases, and the (kept rows, norms) of each of its steps."""
+    steps = []
+    coordinates = noisefield._coordinates
+
+    def recorded(x, yz):
+        steps.append(coordinates(x, yz))
+        return steps[-1]
+
+    monkeypatch.setattr(noisefield, "_coordinates", recorded)
+    return _ensemble(pair, grid, n_members)[0], steps
+
+
+def test_member_phase_matches_unfiltered_dot(monkeypatch):
     # adjoint identity <d, F w> = <F d, w>: drawing each step's filtered
-    # density difference in its spectral coordinates gives the phase of
-    # filtering the white field w that member 0's normals stand for
+    # density difference in its orbit norms gives the phase of filtering
+    # the white field w that member 0's normals stand for
     pair = _pair(1.0, 1.0, 0.5)
     grid = _grid_for(pair, n=32, steps=2, seed=3)
-    phases, _ = _ensemble(pair, grid, 1)
+    phases, steps = _drawn_steps(monkeypatch, pair, grid, 1)
     d = nondimensionalize(pair)
     n, box = grid.n, grid.box_length / pair.a
-    dtau = d.tau_max / grid.n_steps
-    half = box / 2.0
-    amp = np.sqrt(_unit_spectrum(n, box / n))
+    amp = np.sqrt(full_spectrum(n, box / n))
+    rows = _orbit_rows(n)
+    on = rows >= 0
     acc = 0.0
-    for s in range(grid.n_steps):
-        c1 = 1.0 + ((s + 0.5) * dtau) ** 2
-        lo = _density_grid(n, box, (half - d.rho / 2.0, half, half), c1)
-        hi = _density_grid(n, box, (half + d.rho / 2.0, half, half), c1)
-        g = np.fft.rfftn((lo - hi) * (box / n) ** 3).imag * amp[:, :, : n // 2 + 1]
-        g[:: n // 2] = 0.0  # exactly 0 at kx = 0 and n/2, as _ensemble builds it
-        cells, _ = _coordinates(g)
-        # each drawn orbit's normal, spread over its cells as z c_k / ||c_orbit||
-        c = g.ravel()[cells] * math.sqrt(2.0 / n**3)
-        orbit = _spectral_order(n)[3][: cells.size]
-        norm = np.sqrt(np.bincount(orbit, weights=c * c))
-        z = np.zeros(norm.size)
-        z[norm != 0.0] = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(
-            np.count_nonzero(norm))
-        drawn = norm[orbit] != 0.0
-        g_of = orbit[drawn]
-        w = _drawn_white_field(cells[drawn], z[g_of] * c[drawn] / norm[g_of], n)
+    for s, (dd, (kept, c)) in enumerate(zip(_differences(pair, grid), steps)):
+        # g = Im fftn(F d), odd in kx; an orbit's squared norm is sum g^2 / n^3
+        g = np.fft.fftn(dd).imag * amp
+        norm2 = np.bincount(rows[on], weights=np.square(g[on])) / n**3
+        drawn = np.flatnonzero(norm2[:kept])
+        assert drawn.size == c.size
+        # each drawn orbit's normal z, spread over its cells as W_k = i z g_k / norm;
+        # W is odd and imaginary, so w is real and <F d, w> = sum_k g_k W_k / (i n^3)
+        spread = np.zeros(norm2.size)
+        spread[drawn] = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(c.size)
+        spread[drawn] /= np.sqrt(norm2[drawn])
+        w = np.fft.ifftn(1j * np.where(on, spread[rows] * g, 0.0)).real
         phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
-        acc += float(np.dot(((lo - hi) * (box / n) ** 3).ravel(), phi.ravel()))
-    old = -math.sqrt(d.mu * dtau) * acc
+        acc += float(np.dot(dd.ravel(), phi.ravel()))
+    old = -math.sqrt(d.mu * d.tau_max / grid.n_steps) * acc
     assert abs(phases[0] - old) <= 1e-12 * abs(old)
 
 
@@ -316,7 +342,7 @@ def test_lattice_variance_matches_real_space_filter(mu, rho, tau_max, n, steps):
     pair = _pair(mu, rho, tau_max)
     grid = _grid_for(pair, n=n, steps=steps)
     box = grid.box_length / pair.a
-    amp = np.sqrt(_unit_spectrum(n, box / n))[:, :, : n // 2 + 1]
+    amp = np.sqrt(full_spectrum(n, box / n))[:, :, : n // 2 + 1]
     norms = [
         float(np.square(np.fft.irfftn(np.fft.rfftn(dd) * amp, s=dd.shape, axes=(0, 1, 2))).sum())
         for dd in _differences(pair, grid)
@@ -327,30 +353,29 @@ def test_lattice_variance_matches_real_space_filter(mu, rho, tau_max, n, steps):
 
 
 @pytest.mark.parametrize("mu, rho, tau_max, n, steps", _SPECTRAL_CASES)
-def test_kept_cells_are_a_whole_shell_prefix(mu, rho, tau_max, n, steps):
-    # the cut keeps whole |k|^2 shells of the cached order, and leaves out
+def test_kept_cells_are_a_whole_shell_prefix(monkeypatch, mu, rho, tau_max, n, steps):
+    # the cut keeps whole |k|^2 shells of the orbit table, and leaves out
     # the longest run of outer shells that holds at most _CUT of the energy,
     # here summed by shell over the full fftn spectrum
     pair = _pair(mu, rho, tau_max)
     grid = _grid_for(pair, n=n, steps=steps)
     box = grid.box_length / pair.a
-    amp = np.sqrt(_unit_spectrum(n, box / n))
-    order, _, starts, _ = _spectral_order(n)
+    amp = np.sqrt(full_spectrum(n, box / n))
+    _, shell, starts, _ = _orbits(n)
     k = np.fft.fftfreq(n, 1.0 / n)
     k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k**2).astype(int)
     dd = next(_differences(pair, grid))
     energy = np.bincount(k2.ravel(), weights=np.abs(np.fft.fftn(dd) * amp).ravel() ** 2)
-    cells, _ = _coordinates(np.fft.rfftn(dd).imag * amp[:, :, : n // 2 + 1])
-    assert cells.size in starts
-    assert np.array_equal(cells, order[: cells.size])
-    kmax = int(k2[np.unravel_index(cells[-1], (n, n, n // 2 + 1))])
+    kept, _ = _drawn_steps(monkeypatch, pair, grid)[1][0]
+    assert kept in starts
+    kmax = int(shell[kept - 1])
     dropped = energy[kmax + 1 :].sum()
     assert dropped <= _CUT * energy.sum() < dropped + energy[kmax]
     if n == 64 and tau_max < 1.0:
-        assert cells.size < order.size // 10  # the cut leaves out most cells
+        assert kept < shell.size // 10  # the cut leaves out most orbits
     # a field with no energy keeps nothing
-    cells, c = _coordinates(np.zeros((n, n, n // 2 + 1)))
-    assert cells.size == c.size == 0
+    kept, c = _coordinates(np.zeros(n // 2 + 1), np.zeros(n // 2 + 1))
+    assert kept == c.size == 0
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -370,79 +395,60 @@ def test_cell_weights_partition_the_full_spectrum(n):
     assert sorted(map(tuple, np.argwhere(w == 1).tolist())) == [
         (x, y, z) for x in edge for y in edge for z in edge
     ]
-    order, _, _, _ = _spectral_order(n)
-    assert np.array_equal(np.sort(order), np.flatnonzero(w > 0))
 
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_orbits_partition_the_kept_cells(n):
-    # an orbit is a kept cell's image under {+-kx} x {+-ky} x {+-kz} x
-    # {swap ky, kz}, each image read where the half spectrum holds it (k or -k)
-    from gravphase.noisefield import _cell_weight
-    order, label, starts, orbit = _spectral_order(n)
-    h = n // 2
-    assert orbit[0] == 0 and (np.diff(orbit) >= 0).all() and np.diff(orbit).max() == 1
-    rank = np.full(n * n * (h + 1), -1)
-    rank[order] = orbit
-    kept = _cell_weight(n).ravel() > 0
-    k = (np.stack(np.unravel_index(order, (n, n, h + 1))) + h) % n - h  # signed k
-    for sx, sy, sz, swap in np.ndindex(2, 2, 2, 2):
-        im = k * np.array([1 - 2 * sx, 1 - 2 * sy, 1 - 2 * sz])[:, None]
-        if swap:
-            im = im[[0, 2, 1]]
-        flat = [np.ravel_multi_index(m % n, (n, n, h + 1), mode="wrap") for m in (im, -im)]
-        held = [(m[2] % n <= h) & kept[f] for m, f in zip((im, -im), flat)]
-        assert (held[0] | held[1]).all()
-        assert (rank[np.where(held[0], flat[0], flat[1])] == orbit).all()
-    # one |k|^2 and one label (|kx|, min(|ky|, |kz|), max(|ky|, |kz|)) per
-    # orbit, distinct labels for distinct orbits, ranked by (|k|^2, label)
-    a = np.abs(k)
-    key = np.stack([label[order], a[0], a[1:].min(axis=0), a[1:].max(axis=0)])
-    first = np.flatnonzero(np.diff(orbit, prepend=-1))
-    assert (key[:, first][:, orbit] == key).all()
-    ranked = list(map(tuple, key[:, first].T.tolist()))
+    # an orbit is a cell's image under {+-kx} x {+-ky} x {+-kz} x {swap ky, kz};
+    # every cell of the full spectrum off the planes kx = 0 and n/2 falls in
+    # the row of its label, and each row is hit as often as its weight counts
+    label, shell, starts, weight = _orbits(n)
+    assert not any(a.flags.writeable for a in (label, shell, starts, weight))
+    rows = _orbit_rows(n)
+    assert np.count_nonzero(rows < 0) == 2 * n * n
+    hits = np.bincount(rows[rows >= 0], minlength=shell.size)
+    assert hits.sum() == (n - 2) * n * n and set(hits.tolist()) == {2, 4, 8, 16}
+    kx, ky, kz = label
+    assert np.allclose(weight, hits / n**3 * _octant(n)[kx, ky, kz], rtol=1e-15, atol=0.0)
+    # distinct labels 0 < kx < n/2, 0 <= ky <= kz <= n/2, ranked by (|k|^2, label)
+    assert ((0 < kx) & (kx < n // 2) & (0 <= ky) & (ky <= kz) & (kz <= n // 2)).all()
+    assert np.array_equal(shell, kx * kx + ky * ky + kz * kz)
+    ranked = list(zip(shell.tolist(), kx.tolist(), ky.tolist(), kz.tolist()))
     assert ranked == sorted(set(ranked))
-    # so every shell begins an orbit, and a shell prefix is an orbit prefix
-    assert set(starts.tolist()) <= set(first.tolist()) | {order.size}
+    # shell j holds rows starts[j] .. starts[j + 1], so every shell begins an
+    # orbit, and a shell prefix is a row prefix
+    assert np.array_equal(np.repeat(np.arange(starts.size - 1), np.diff(starts)), shell)
 
 
 @pytest.mark.parametrize("tau_max, steps, draws", [(0.1, 8, 6124), (3.0, 30, 118965)])
 def test_c12_members_draw_one_normal_per_kept_orbit(monkeypatch, tau_max, steps, draws):
     # the normals a member draws over all steps at the c12 geometries, n = 64,
     # one per kept orbit; one per kept cell drew 40960 and 865226
-    sizes = []
-    coordinates = noisefield._coordinates
-
-    def counted(g):
-        cells, c = coordinates(g)
-        sizes.append(c.size)
-        return cells, c
-
-    monkeypatch.setattr(noisefield, "_coordinates", counted)
     pair = _pair(1.0, 1.0, tau_max)
-    _ensemble(pair, _grid_for(pair, n=64, steps=steps), 0)
-    assert sum(sizes) == draws
+    _, steps = _drawn_steps(monkeypatch, pair, _grid_for(pair, n=64, steps=steps))
+    assert sum(c.size for _, c in steps) == draws
 
 
 def test_coordinates_hold_the_norm_of_any_odd_field():
-    # white noise made odd in x and even in y and z has a purely imaginary
-    # spectrum, zero on the planes kx = 0 and n/2, and a flat one elsewhere:
-    # only the corner shell, which holds no energy, may be cut, and the
-    # norms over the orbits of the kept Im coordinates carry the whole norm
+    # a profile odd in x times one even in y and z has the spectrum
+    # i X(kx) Y(ky) Y(kz), zero on the planes kx = 0 and n/2; filtered in
+    # real space, its squared norm summed over each row's cells of the full
+    # spectrum gives the norms _coordinates returns, and they carry the
+    # whole norm: only the corner shell, which holds no energy, may be cut
     n = 32
     mirror = -np.arange(n) % n
-    w = np.random.default_rng(17).standard_normal((n, n, n))
-    x = w - w[mirror]
-    x = x + x[:, mirror]
-    x = x + x[:, :, mirror]
-    g = np.fft.rfftn(x).imag
-    cells, c = _coordinates(g)
-    order, _, starts, orbit = _spectral_order(n)
-    assert starts[-2] <= cells.size and np.array_equal(cells, order[: cells.size])
-    coords = g.ravel()[cells] * math.sqrt(2.0 / n**3)
-    norms = np.sqrt(np.bincount(orbit[: cells.size], weights=coords * coords))
-    assert np.array_equal(c, norms[norms != 0.0])
-    assert abs(float(np.square(c).sum()) / float(np.square(x).sum()) - 1.0) <= 1e-14
+    u, v = np.random.default_rng(17).standard_normal((2, n))
+    x, y = u - u[mirror], v + v[mirror]
+    kept, c = _coordinates(np.fft.rfft(x).imag, np.fft.rfft(y).real)
+    starts = _orbits(n)[2]
+    assert starts[-2] <= kept and c.size == kept
+    field = np.fft.fftn(x[:, None, None] * y[:, None] * y) * np.sqrt(full_spectrum(n, 1.0))
+    rows = _orbit_rows(n)
+    on = rows >= 0
+    norms = np.sqrt(np.bincount(rows[on], weights=np.abs(field[on]) ** 2) / n**3)
+    assert np.abs(c - norms[:kept]).max() <= 1e-12 * c.max()
+    filtered = np.fft.ifftn(field).real
+    assert abs(float(np.square(c).sum()) / float(np.square(filtered).sum()) - 1.0) <= 1e-14
 
 
 def test_member_draw_prefix_is_independent_of_the_kept_count(monkeypatch):
@@ -514,15 +520,20 @@ def test_min_box_length_is_the_simulate_default_box():
 
 
 def test_cached_half_spectrum_is_the_full_spectrum_half():
-    from gravphase.noisefield import _unit_half_spectrum
-
+    # the octant's three DCT-I passes against the fftn of the n^3 kernel row,
+    # and P(n, dx) = P / dx
     for n, dx in ((32, 0.1), (64, 1e-3)):
-        half = _unit_half_spectrum(n, dx)
-        full = _unit_spectrum(n, dx)
+        octant = _octant(n)
+        assert octant.shape == (n // 2 + 1,) * 3
+        assert not octant.flags.writeable
+        half = _half_spectrum(n) / dx
+        full = full_spectrum(n, dx)
         assert half.shape == (n, n, n // 2 + 1)
-        assert not half.flags.writeable
         assert np.allclose(half, full[:, :, : n // 2 + 1], rtol=1e-12, atol=0.0)
         assert half.min() >= 0.0
+        # read at sorted index triples: bitwise symmetric under axis permutations
+        for axes in itertools.permutations(range(3)):
+            assert np.array_equal(octant.transpose(axes), octant), axes
 
 
 def _both_threads(barrier):
@@ -648,8 +659,6 @@ def test_forked_child_starts_its_own_pool():
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_unit_half_spectrum_is_positive_with_no_lift(n):
-    from gravphase.noisefield import _unit_half_spectrum
-
-    # dx only scales the spectrum, whose minimum tends to about 0.5585 / dx
-    for dx in (1e-300, 1.0, 1e300):
-        assert 0.558 <= _unit_half_spectrum(n, dx).min() * dx <= 0.560, dx
+    # dx only scales the spectrum, P(n, dx) = P / dx, whose minimum tends to
+    # about 0.5585 / dx
+    assert 0.558 <= _half_spectrum(n).min() <= 0.560

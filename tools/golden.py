@@ -54,6 +54,9 @@ CALLS = [
      "--mass", "1e-15", "--width", "1e-7", "--format", "csv"),
     ("oracle", "--samples", "1e4", "--seed", "7", "--workers", "2", "--format", "csv"),
     ("covariance", "--grid-n", "32", "--realizations", "100"),
+    # a second grid size, so the n = 64 kernel spectrum is compared too
+    (*SIM[:-1], "64"),
+    ("covariance", "--grid-n", "64", "--realizations", "100"),
     ("variance", "--config", "flat.cfg"),
     ("sweep", "--config", "sweep.json"),
     ("variance", "--config", "out.cfg"),
