@@ -189,8 +189,6 @@ def _read_config_file(path: str, keys: dict) -> dict:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise _UsageError(f"malformed JSON config: {e}") from None
-        if not isinstance(raw, dict):
-            raise _UsageError("JSON config must be an object")
     else:
         for ln, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()

@@ -41,13 +41,14 @@ transforms, with one magnitude over each orbit of {+-kx} x {+-ky} x
 {+-kz} x {swap ky, kz}. By Parseval <F d_s, w_s> has the law of
 <c_s, z>, c_s the orbit norms and z ~ N(0, I). F d_s is a filtered
 difference of Gaussians, so its spectrum falls like exp(-k^2 C1 / 4),
-and the outer |k|^2 shells that together hold no more than 1e-17 of its
-energy are cut. A member-step is then one Philox draw, one normal per
-kept orbit, and one reduction, and mu dtau sum_s ||c_s||^2 is the
-lattice-exact ensemble variance, with no sampling at all. The covariance
-estimator needs only |rfftn(w)|^2 P, reduced to its three axis marginals
-and weighted by cos(2 pi k lag / n), so it draws |rfftn(w)|^2 / n^3
-straight from its law, one exponential per cell, and makes no field.
+and the trailing rows of the |k|^2-ranked orbit table that together hold
+no more than 1e-17 of its energy are cut. A member-step is then one
+Philox draw, one normal per kept orbit, and one reduction, and
+mu dtau sum_s ||c_s||^2 is the lattice-exact ensemble variance, with no
+sampling at all. The covariance estimator needs only |rfftn(w)|^2 P,
+reduced to its three axis marginals and weighted by cos(2 pi k lag / n),
+so it draws |rfftn(w)|^2 / n^3 straight from its law, one exponential per
+cell, and makes no field.
 
 Every random draw in the package, here and in the oracle, comes from
 ``stream``: a Philox generator keyed by (seed, domain tag) with counter
@@ -99,8 +100,6 @@ _TAG_SIM = 0x51
 
 _MIN_MEMBERS = 64
 
-_AXES = (0, 1, 2)
-
 
 class ConfigurationError(ValueError):
     """Grid or ensemble configuration violates a stated precondition."""
@@ -131,7 +130,11 @@ class FieldGrid:
 
     @property
     def dx(self) -> float:
-        return self.box_length / self.n
+        """Grid spacing box / n [m]; OverflowError where it underflows to 0."""
+        dx = self.box_length / self.n
+        if dx == 0.0:
+            raise OverflowError(f"grid spacing box / n underflows to 0 at box {self.box_length} m")
+        return dx
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def _octant(n: int) -> np.ndarray:
     p = 1.0 / np.sqrt(np.maximum(x * x + y * y + z * z, 1.0))
     p[0, 0, 0] = CUBE_SELF_CONSTANT
     fold = np.minimum(np.arange(n), n - np.arange(n))  # |offset| at each index
-    for axis in _AXES:
+    for axis in range(3):
         p = np.fft.rfft(np.take(p, fold, axis), axis=axis).real
     lo, hi = np.minimum(np.minimum(x, y), z), np.maximum(np.maximum(x, y), z)
     p = p[lo, x + y + z - lo - hi, hi]
@@ -295,7 +298,7 @@ def sample_field_step(
     if zero_mean:
         amp[0, 0, 0] = 0.0
     w = stream(grid.seed, _TAG_FIELD, member, step).standard_normal((grid.n,) * 3)
-    phi = np.fft.irfftn(np.fft.rfftn(w, axes=_AXES) * amp, s=w.shape, axes=_AXES)
+    phi = np.fft.irfftn(np.fft.rfftn(w) * amp)  # n is even, so irfftn restores it
     return phi / math.sqrt(grid.dt)
 
 
@@ -334,8 +337,6 @@ def measured_covariance(
     if n_realizations < 100:
         raise ValueError(f"need at least 100 realizations, got {n_realizations}")
     dx = grid.dx
-    if dx == 0.0:
-        raise OverflowError(f"grid spacing box / n underflows to 0 at box {grid.box_length} m")
     lags = []
     for r in separations:
         if not (dx <= r <= grid.box_length / 2.0):
@@ -456,37 +457,33 @@ def simulate_phase_variance(
     )
 
 
-# the relative energy of the outer |k|^2 shells a step's draw may leave out
+# the relative energy of the trailing rows of the |k|^2-ranked orbit table
+# that a step's draw may leave out
 _CUT = 1e-17
 
 
 @functools.cache
-def _orbits(n: int) -> tuple[np.ndarray, ...]:
-    """One row per orbit of {+-kx} x {+-ky} x {+-kz} x {swap ky, kz} off the
-    planes kx = 0 and n/2, ranked by (|k|^2, label); cached per n, read-only.
+def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One row per orbit of {+-kx} x {+-ky} x {+-kz} x {swap ky, kz} over
+    the whole n^3 spectrum, ranked by (|k|^2, label); cached per n, read-only.
 
-    Returns ``label``: a (3, rows) array of (kx, ky, kz), 0 < kx < n/2 and
-    0 <= ky <= kz <= n/2; ``shell``: the |k|^2 of each row; ``starts``: where
-    the shell |k|^2 = j begins, for j = 0 .. max |k|^2 + 1, the last being the
-    row count; ``weight``: the orbit's cell count in the full n^3 spectrum
-    over n^3, times P for unit spacing.
+    Returns ``label``: a (3, rows) array of (kx, ky, kz), 0 <= kx <= n/2 and
+    0 <= ky <= kz <= n/2; ``weight``: the orbit's cell count in the full n^3
+    spectrum over n^3, times P for unit spacing. Each row is a whole orbit,
+    so every row prefix of the table is a union of orbits.
     """
     h = n // 2
     ky, kz = np.triu_indices(h + 1)
-    kx = np.repeat(np.arange(1, h), ky.size)
-    ky, kz = np.tile(ky, h - 1), np.tile(kz, h - 1)
-    shell = kx * kx + ky * ky + kz * kz
-    rank = np.lexsort((kz, ky, kx, shell))
+    kx = np.repeat(np.arange(h + 1), ky.size)
+    ky, kz = np.tile(ky, h + 1), np.tile(kz, h + 1)
+    rank = np.lexsort((kz, ky, kx, kx * kx + ky * ky + kz * kz))
     label = np.stack((kx, ky, kz))[:, rank].astype(np.int32)
-    shell = shell[rank].astype(np.int32)
-    kx, ky, kz = label
-    # 2 signs of kx, 2 of ky and of kz off 0 and n/2, 2 orders of ky != kz
-    count = 2 * (2 - (ky % h == 0)) * (2 - (kz % h == 0)) * (1 + (ky != kz))
-    weight = count / float(n) ** 3 * _octant(n)[kx, ky, kz]
-    starts = np.searchsorted(shell, np.arange(shell[-1] + 2)).astype(np.int32)
-    for a in (label, shell, starts, weight):
+    # 2 signs of each k off 0 and n/2, and 2 orders of ky != kz
+    count = np.prod(2 - (label % h == 0), axis=0) * (1 + (label[1] != label[2]))
+    weight = count / float(n) ** 3 * _octant(n)[tuple(label)]
+    for a in (label, weight):
         a.flags.writeable = False  # cached, so every caller shares these arrays
-    return label, shell, starts, weight
+    return label, weight
 
 
 def _coordinates(x: np.ndarray, yz: np.ndarray) -> tuple[int, np.ndarray]:
@@ -494,15 +491,16 @@ def _coordinates(x: np.ndarray, yz: np.ndarray) -> tuple[int, np.ndarray]:
     rfftn i X(kx) Y(ky) Y(kz) sqrt(P), P for unit spacing, given x = X and
     yz = Y at k = 0 .. n/2, X odd and Y even: c^2 = (X Y Y)^2 ``weight``.
     <field, w> over iid standard normals w has the law of <c, z>, z ~ N(0, I).
-    The longest run of outer |k|^2 shells holding at most ``_CUT`` of the
-    squared norm is left out, and so is a norm that is exactly 0. Returns
-    how many leading rows are kept, a shell prefix, and c.
+    The longest run of trailing rows of the |k|^2-ranked table holding at
+    most ``_CUT`` of the squared norm is left out, and so is a norm that is
+    exactly 0, as on the planes kx = 0 and n/2, where X is 0. Returns how
+    many leading rows are kept, and c.
     """
-    label, shell, starts, weight = _orbits(2 * (x.size - 1))
+    label, weight = _orbits(2 * (x.size - 1))
     kx, ky, kz = label
     e = np.square(x[kx] * yz[ky] * yz[kz]) * weight
-    tail = np.cumsum(np.bincount(shell, weights=e)[::-1])[::-1]
-    kept = int(starts[np.count_nonzero(tail > _CUT * tail[0])])
+    tail = np.cumsum(e[::-1])[::-1]
+    kept = np.count_nonzero(tail > _CUT * tail[0])
     c = np.sqrt(e[:kept])
     return kept, c[c != 0.0]
 
@@ -521,7 +519,7 @@ def _ensemble(
     form of <d_s, F w_s>) and w_s white noise, drawn as <c_s, z_s> with
     c_s the step's ``_coordinates`` and z_s the first len(c_s) normals of
     stream (mem, s). The cut depends on g_s alone, never on the seed or
-    the worker count, and one more shell only lengthens the draw. The
+    the worker count, and one more row only lengthens the draw. The
     phases are Gaussian with variance mu dtau sum_s ||c_s||^2.
 
     rfftn(d_s) = f_s i X(kx) Y(ky) Y(kz), f_s = cell / (pi c1)^(3/2), X the

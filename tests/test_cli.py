@@ -141,6 +141,14 @@ def test_config_missing_file(capsys):
     assert run(["variance", "--config", "/no/such/file.cfg"]) == 2
 
 
+def test_config_malformed_json(tmp_path, capsys):
+    # a file that starts with "{" is read as JSON, and must parse as JSON
+    cfg = tmp_path / "broken.json"
+    cfg.write_text('{"mu": 1,')
+    assert run(["variance", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed JSON config: ")
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     out = tmp_path / "var.csv"
     argv = ["variance", "--mu", "3.7", "--rho", "1.3", "--tau-max", "2.1",
@@ -190,6 +198,20 @@ def test_sweep_conflicting_fixed_value(capsys):
     argv = ["sweep", "--param", "width", "--start", "1e-6", "--stop", "1e-5",
             "--num", "3", "--mass", "1e-16", "--width", "5e-6"]
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--param", "mass", "--start", "0", "--stop", "1e-15", "--num", "3", "--width", "1e-6"],
+     "invalid value for start/stop: 0.0, 1e-15"),
+    (["--param", "mass", "--start", "1e-16", "--stop", "1e-15", "--num", "1",
+      "--width", "1e-6"], "invalid value for num: 1 (need >= 2)"),
+    (["--param", "separation", "--start", "1e-6", "--stop", "1e-5", "--num", "3"],
+     "sweep requires mass and width (swept or fixed)"),
+], ids=["start", "num", "no-mass-or-width"])
+def test_sweep_usage_errors(argv, message, capsys):
+    assert run(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_covariance_subcommand(capsys):
@@ -274,6 +296,15 @@ def test_tau_unit_underflow_is_numerical_failure(capsys):
             "--separation", "1e-150", "--horizon", "1"]
     assert run(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_variance_non_finite_field_is_numerical_failure(capsys):
+    # I7 overflows to inf at mu = 1e308, tau = 1e300; emit refuses the record
+    argv = ["variance", "--mu", "1e308", "--rho", "0.5", "--tau-max", "1e300"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: non-finite value for field 'i7'\n"
 
 
 @pytest.mark.parametrize("box", ["1e300", "1e280", "1e-323", "5e-324"])

@@ -121,6 +121,15 @@ def test_field_step_is_finite_at_tiny_boxes(box, constants):
     assert np.abs(phi * math.sqrt(box) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("box", [1e-323, 5e-324])
+def test_field_step_names_an_underflowed_spacing(box):
+    # box / 32 is 0.0: the grid names that failure, for the field as for
+    # the covariance
+    g = FieldGrid(n=32, box_length=box, dt=1.0, n_steps=1, seed=7)
+    with pytest.raises(OverflowError, match=f"underflows to 0 at box {box} m"):
+        sample_field_step(g, 0, 0)
+
+
 def test_measured_covariance_matches_kernel():
     g = FieldGrid(n=32, box_length=1.0, dt=0.25, n_steps=1, seed=21)
     seps = [2 * g.dx, 4 * g.dx, 8 * g.dx, 0.5]
@@ -253,8 +262,7 @@ def test_simulate_preconditions():
 
 def _orbit_rows(n):
     """The ``_orbits(n)`` row of each cell of the full n^3 spectrum, the one
-    labelled (|kx|, min(|ky|, |kz|), max(|ky|, |kz|)); -1 on the planes
-    kx = 0 and n/2, which no row holds."""
+    labelled (|kx|, min(|ky|, |kz|), max(|ky|, |kz|))."""
     label = _orbits(n)[0]
     row = np.full((n // 2 + 1,) * 3, -1)
     row[tuple(label)] = np.arange(label.shape[1])
@@ -287,20 +295,21 @@ def test_member_phase_matches_unfiltered_dot(monkeypatch):
     n, box = grid.n, grid.box_length / pair.a
     amp = np.sqrt(full_spectrum(n, box / n))
     rows = _orbit_rows(n)
-    on = rows >= 0
+    # g is 0 on the planes kx = 0 and n/2, up to rounding, and no row there is drawn
+    live = _orbits(n)[0][0] % (n // 2) != 0
     acc = 0.0
     for s, (dd, (kept, c)) in enumerate(zip(_differences(pair, grid), steps)):
         # g = Im fftn(F d), odd in kx; an orbit's squared norm is sum g^2 / n^3
         g = np.fft.fftn(dd).imag * amp
-        norm2 = np.bincount(rows[on], weights=np.square(g[on])) / n**3
-        drawn = np.flatnonzero(norm2[:kept])
+        norm2 = np.bincount(rows.ravel(), weights=np.square(g).ravel()) / n**3
+        drawn = np.flatnonzero(live[:kept])
         assert drawn.size == c.size
         # each drawn orbit's normal z, spread over its cells as W_k = i z g_k / norm;
         # W is odd and imaginary, so w is real and <F d, w> = sum_k g_k W_k / (i n^3)
         spread = np.zeros(norm2.size)
         spread[drawn] = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(c.size)
         spread[drawn] /= np.sqrt(norm2[drawn])
-        w = np.fft.ifftn(1j * np.where(on, spread[rows] * g, 0.0)).real
+        w = np.fft.ifftn(1j * spread[rows] * g).real
         phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
         acc += float(np.dot(dd.ravel(), phi.ravel()))
     old = -math.sqrt(d.mu * d.tau_max / grid.n_steps) * acc
@@ -354,25 +363,21 @@ def test_lattice_variance_matches_real_space_filter(mu, rho, tau_max, n, steps):
 
 @pytest.mark.parametrize("mu, rho, tau_max, n, steps", _SPECTRAL_CASES)
 def test_kept_cells_are_a_whole_shell_prefix(monkeypatch, mu, rho, tau_max, n, steps):
-    # the cut keeps whole |k|^2 shells of the orbit table, and leaves out
-    # the longest run of outer shells that holds at most _CUT of the energy,
-    # here summed by shell over the full fftn spectrum
+    # the cut keeps a row prefix of the orbit table, whole orbits, and leaves
+    # out the longest run of trailing rows that holds at most _CUT of the
+    # energy, here summed by row over the full fftn spectrum
     pair = _pair(mu, rho, tau_max)
     grid = _grid_for(pair, n=n, steps=steps)
     box = grid.box_length / pair.a
     amp = np.sqrt(full_spectrum(n, box / n))
-    _, shell, starts, _ = _orbits(n)
-    k = np.fft.fftfreq(n, 1.0 / n)
-    k2 = (k[:, None, None] ** 2 + k[None, :, None] ** 2 + k**2).astype(int)
+    rows = _orbit_rows(n)
     dd = next(_differences(pair, grid))
-    energy = np.bincount(k2.ravel(), weights=np.abs(np.fft.fftn(dd) * amp).ravel() ** 2)
+    energy = np.bincount(rows.ravel(), weights=np.abs(np.fft.fftn(dd) * amp).ravel() ** 2)
     kept, _ = _drawn_steps(monkeypatch, pair, grid)[1][0]
-    assert kept in starts
-    kmax = int(shell[kept - 1])
-    dropped = energy[kmax + 1 :].sum()
-    assert dropped <= _CUT * energy.sum() < dropped + energy[kmax]
+    dropped = energy[kept:].sum()
+    assert dropped <= _CUT * energy.sum() < dropped + energy[kept - 1]
     if n == 64 and tau_max < 1.0:
-        assert kept < shell.size // 10  # the cut leaves out most orbits
+        assert kept < energy.size // 10  # the cut leaves out most orbits
     # a field with no energy keeps nothing
     kept, c = _coordinates(np.zeros(n // 2 + 1), np.zeros(n // 2 + 1))
     assert kept == c.size == 0
@@ -400,27 +405,24 @@ def test_cell_weights_partition_the_full_spectrum(n):
 @pytest.mark.parametrize("n", [32, 64])
 def test_orbits_partition_the_kept_cells(n):
     # an orbit is a cell's image under {+-kx} x {+-ky} x {+-kz} x {swap ky, kz};
-    # every cell of the full spectrum off the planes kx = 0 and n/2 falls in
-    # the row of its label, and each row is hit as often as its weight counts
-    label, shell, starts, weight = _orbits(n)
-    assert not any(a.flags.writeable for a in (label, shell, starts, weight))
+    # every cell of the full spectrum falls in the row of its label, and
+    # each row is hit as often as its weight counts
+    label, weight = _orbits(n)
+    assert not any(a.flags.writeable for a in (label, weight))
     rows = _orbit_rows(n)
-    assert np.count_nonzero(rows < 0) == 2 * n * n
-    hits = np.bincount(rows[rows >= 0], minlength=shell.size)
-    assert hits.sum() == (n - 2) * n * n and set(hits.tolist()) == {2, 4, 8, 16}
+    assert rows.min() >= 0
+    hits = np.bincount(rows.ravel(), minlength=weight.size)
+    assert hits.sum() == n**3 and set(hits.tolist()) == {1, 2, 4, 8, 16}
     kx, ky, kz = label
     assert np.allclose(weight, hits / n**3 * _octant(n)[kx, ky, kz], rtol=1e-15, atol=0.0)
-    # distinct labels 0 < kx < n/2, 0 <= ky <= kz <= n/2, ranked by (|k|^2, label)
-    assert ((0 < kx) & (kx < n // 2) & (0 <= ky) & (ky <= kz) & (kz <= n // 2)).all()
-    assert np.array_equal(shell, kx * kx + ky * ky + kz * kz)
-    ranked = list(zip(shell.tolist(), kx.tolist(), ky.tolist(), kz.tolist()))
+    # distinct labels 0 <= kx <= n/2, 0 <= ky <= kz <= n/2, ranked by (|k|^2, label)
+    assert ((0 <= kx) & (kx <= n // 2) & (0 <= ky) & (ky <= kz) & (kz <= n // 2)).all()
+    ranked = list(zip((kx * kx + ky * ky + kz * kz).tolist(), kx.tolist(), ky.tolist(),
+                      kz.tolist()))
     assert ranked == sorted(set(ranked))
-    # shell j holds rows starts[j] .. starts[j + 1], so every shell begins an
-    # orbit, and a shell prefix is a row prefix
-    assert np.array_equal(np.repeat(np.arange(starts.size - 1), np.diff(starts)), shell)
 
 
-@pytest.mark.parametrize("tau_max, steps, draws", [(0.1, 8, 6124), (3.0, 30, 118965)])
+@pytest.mark.parametrize("tau_max, steps, draws", [(0.1, 8, 6104), (3.0, 30, 118776)])
 def test_c12_members_draw_one_normal_per_kept_orbit(monkeypatch, tau_max, steps, draws):
     # the normals a member draws over all steps at the c12 geometries, n = 64,
     # one per kept orbit; one per kept cell drew 40960 and 865226
@@ -433,20 +435,19 @@ def test_coordinates_hold_the_norm_of_any_odd_field():
     # a profile odd in x times one even in y and z has the spectrum
     # i X(kx) Y(ky) Y(kz), zero on the planes kx = 0 and n/2; filtered in
     # real space, its squared norm summed over each row's cells of the full
-    # spectrum gives the norms _coordinates returns, and they carry the
-    # whole norm: only the corner shell, which holds no energy, may be cut
+    # spectrum gives the norms _coordinates returns, one per row off those
+    # planes, and they carry the whole norm: no row off them is cut
     n = 32
     mirror = -np.arange(n) % n
     u, v = np.random.default_rng(17).standard_normal((2, n))
     x, y = u - u[mirror], v + v[mirror]
     kept, c = _coordinates(np.fft.rfft(x).imag, np.fft.rfft(y).real)
-    starts = _orbits(n)[2]
-    assert starts[-2] <= kept and c.size == kept
+    live = _orbits(n)[0][0] % (n // 2) != 0
+    assert c.size == np.count_nonzero(live[:kept]) == np.count_nonzero(live)
     field = np.fft.fftn(x[:, None, None] * y[:, None] * y) * np.sqrt(full_spectrum(n, 1.0))
     rows = _orbit_rows(n)
-    on = rows >= 0
-    norms = np.sqrt(np.bincount(rows[on], weights=np.abs(field[on]) ** 2) / n**3)
-    assert np.abs(c - norms[:kept]).max() <= 1e-12 * c.max()
+    norms = np.sqrt(np.bincount(rows.ravel(), weights=np.abs(field).ravel() ** 2) / n**3)
+    assert np.abs(c - norms[live]).max() <= 1e-12 * c.max()
     filtered = np.fft.ifftn(field).real
     assert abs(float(np.square(c).sum()) / float(np.square(filtered).sum()) - 1.0) <= 1e-14
 
@@ -599,6 +600,12 @@ def test_measured_covariance_bitwise_equal_across_workers(workers, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
 def test_default_workers_is_the_affinity_mask(monkeypatch):
     monkeypatch.delenv("GRAVPHASE_THREADS", raising=False)
+    assert default_workers() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+def test_unparsable_gravphase_threads_falls_back_to_the_affinity_mask(monkeypatch):
+    monkeypatch.setenv("GRAVPHASE_THREADS", "abc")
     assert default_workers() == len(os.sched_getaffinity(0))
 
 
