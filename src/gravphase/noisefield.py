@@ -51,12 +51,13 @@ so it draws |rfftn(w)|^2 / n^3 straight from its law, one exponential per
 cell, and makes no field.
 
 Every random draw in the package, here and in the oracle, comes from
-``stream``: a Philox generator keyed by (seed, domain tag) with counter
-(0, member, step, batch), so a draw depends only on what it is for, never
-on which worker makes it. ``parallel_map`` returns results in input
-order, and every reduction is numpy's own pairwise sum rather than a
-BLAS dot, whose summation order follows the BLAS thread count, so
-results are bit-identical for any worker count on any machine.
+``stream``: one Philox generator per thread, re-keyed per (seed, domain
+tag, member, step, batch), with no OS entropy read per draw, so a draw
+depends only on what it is for, never on which worker makes it.
+``parallel_map`` returns results in input order, and every reduction is
+numpy's own pairwise sum rather than a BLAS dot, whose summation order
+follows the BLAS thread count, so results are bit-identical for any
+worker count on any machine.
 """
 
 from __future__ import annotations
@@ -213,16 +214,27 @@ def parallel_map(fn, *iterables, workers: int | None = None) -> list:
     return list(_pool(workers).map(fn, *iterables))
 
 
+# the calling thread's one generator and the state dict that re-keys it
+_rng = threading.local()
+
+
 def stream(
     seed: int, tag: int, member: int = 0, step: int = 0, batch: int = 0
 ) -> Generator:
-    """Generator for one (seed, tag) stream at counter (0, member, step, batch);
+    """The calling thread's one Philox generator, set to the state that
+    ``Philox(key=(seed, tag), counter=(0, member, step, batch))`` starts in,
+    so it draws what a fresh generator would without building one or
+    reading OS entropy. The next call in the same thread re-keys it.
     ValueError unless 0 <= seed < 2**64, the range of a Philox key word."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    key = np.array([seed, tag], dtype=np.uint64)
-    counter = np.array([0, member, step, batch], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=counter))
+    if not hasattr(_rng, "state"):
+        _rng.generator = Generator(Philox(0))
+        _rng.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+                      "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _rng.state["state"] = {"key": (seed, tag), "counter": (0, member, step, batch)}
+    _rng.generator.bit_generator.state = _rng.state
+    return _rng.generator
 
 
 @functools.cache

@@ -342,7 +342,9 @@ def test_covariance_is_scale_free(capsys):
 def test_simulate_low_draw_keeps_its_standard_error(capsys):
     # a correct ensemble whose sample variance lies 1.6 exact SE below its
     # lattice variance; a fourth-moment SE estimated from the same low draw
-    # puts it 2.0 SE off the analytic value
+    # puts it 2.0 SE off the analytic value, so a 3-SE verdict built on the
+    # estimated SE would pass this draw too: only the seed-10 test below
+    # separates the exact SE from an estimated one
     argv = ["simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07",
             "--separation", "7.19357e-08", "--horizon", "423.836", "--grid-n", "32",
             "--steps", "1", "--members", "64", "--seed", "47", "--workers", "1"]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import gravphase
 from gravphase import noisefield
@@ -84,6 +85,90 @@ def test_field_determinism_and_stream_separation():
     assert not np.array_equal(f1, sample_field_step(g, member=4, step=2))
     g2 = FieldGrid(n=32, box_length=1.0, dt=0.5, n_steps=4, seed=100)
     assert not np.array_equal(f1, sample_field_step(g2, member=3, step=2))
+
+
+def _fresh(seed, tag, member=0, step=0, batch=0):
+    return Generator(Philox(key=np.array([seed, tag], np.uint64),
+                            counter=np.array([0, member, step, batch], np.uint64)))
+
+
+_DRAWS = (
+    lambda g: g.standard_normal(1),
+    lambda g: g.standard_normal(3),
+    lambda g: g.standard_normal(1000),
+    lambda g: g.standard_exponential((32, 32, 17)),
+)
+# draws that leave the thread's generator part way through its buffer
+_PART_DRAWS = (
+    lambda g: g.random(dtype=np.float32),
+    lambda g: g.integers(0, 10, 3, dtype=np.uint32),
+)
+
+
+def _leave_mid_buffer(draw):
+    g = stream(12, 3, 4, 5, 6)
+    draw(g)
+    state = g.bit_generator.state
+    assert state["buffer_pos"] != 4 or state["has_uint32"]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("part", _PART_DRAWS)
+def test_stream_draws_what_a_fresh_generator_draws(seed, part):
+    for draw in _DRAWS:
+        _leave_mid_buffer(part)
+        assert np.array_equal(draw(stream(seed, 7, 3, 11, 2)), draw(_fresh(seed, 7, 3, 11, 2)))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_leaves_the_next_stream_intact(seed):
+    _leave_mid_buffer(_PART_DRAWS[0])
+    with pytest.raises(ValueError, match="seed must be in"):
+        stream(seed, 7)
+    assert np.array_equal(stream(1, 7, 2).standard_normal(5), _fresh(1, 7, 2).standard_normal(5))
+
+
+def test_each_thread_draws_from_its_own_generator():
+    # both threads key their stream before either draws, so a shared
+    # generator would hand one of them the other's keys
+    barrier = threading.Barrier(2, timeout=10.0)
+    drawn = {}
+
+    def draw(member):
+        barrier.wait()
+        g = stream(11, 2, member)
+        barrier.wait()
+        drawn[member] = g, g.standard_normal(1000)
+
+    threads = [threading.Thread(target=draw, args=(m,)) for m in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    assert sorted(drawn) == [1, 2]
+    for member, (_, z) in drawn.items():
+        assert np.array_equal(z, _fresh(11, 2, member).standard_normal(1000))
+    assert drawn[1][0] is not drawn[2][0]
+
+
+def test_an_ensemble_builds_at_most_one_philox(monkeypatch):
+    # a fresh thread holds no generator yet; its 128 member-steps re-key one
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return Philox(*args, **kwargs)
+
+    pair = _pair(1.0, 1.0, 0.1)
+    grid = _grid_for(pair, n=32, steps=2, seed=9)
+    expected = _ensemble(pair, grid, 64, workers=1)[0]
+    monkeypatch.setattr(noisefield, "Philox", counted)
+    result = []
+    t = threading.Thread(target=lambda: result.append(_ensemble(pair, grid, 64, workers=1)))
+    t.start()
+    t.join(timeout=60.0)
+    assert len(built) <= 1
+    assert np.array_equal(result[0][0], expected)
 
 
 def test_field_zero_mean_option():
