@@ -32,17 +32,16 @@ three where beta = r sech u crosses 6 and 1/2:
   Welsch 1969). The interval is at most ln 12 wide for large r and
   acosh 12 at r = 6, whatever rho and tau_max are.
 - beta <= 1/2: with theta = atan(1/tau), beta = r sin(theta) and the piece
-  is r^2 int I(beta)/beta^2 dtheta over [atan2(1, tau_max), asin(1/2r)],
-  a smooth integrand that a fixed 10-point rule integrates.
+  is r^2 int I(beta)/beta^2 dtheta over
+  [atan2(1, tau_max), asin(min(1, 1/2r))], a smooth integrand that a
+  fixed 10-point rule integrates. For r <= 1/2 (rho <= sqrt(2)/2) no beta
+  exceeds 1/2 and this piece is the whole integral.
 
 The total, i7 and i8 come from these rules alone. The reported
 ``quadrature_error_estimate`` is their difference from lower-order rules
 (24 and 6 points) on the same pieces, plus a rounding allowance; the
 lower-order rules run only when the estimate is read, so root finders,
-which read the total, never pay for them. For rho <= sqrt(2)/2 there is
-no beta > 1/2 at all and the integral is evaluated from its rho^2 power
-series instead, which converges to machine precision and avoids the 0/0
-in erf(rho ...)/rho.
+which read the total, never pay for them.
 """
 
 from __future__ import annotations
@@ -69,9 +68,6 @@ __all__ = [
 _PREF = 2.0 * math.sqrt(2.0) / math.sqrt(math.pi)
 
 _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
-
-# below this rho no beta exceeds 1/2 and the rho^2 series is used
-_RHO_SERIES_MAX = math.sqrt(0.5)
 
 # beta at the two seams: erf(6) == 1.0 in double precision, and the theta
 # form of the integrand is smooth on (0, 1/2]
@@ -112,7 +108,7 @@ class VarianceBreakdown:
         """Estimated absolute quadrature error of ``total``."""
         rounding = _ROUNDING * abs(self.total)
         d = self._d
-        if d.rho <= _RHO_SERIES_MAX:
+        if not d.rho:  # the exact 0, from no rule
             return rounding
         _, mid, tail = _split(d.rho, d.tau_max, *_LOW_RULES)
         pref, pref_tail = _prefactors(d.mu, d.rho)
@@ -224,15 +220,14 @@ def phase_variance(d: DimensionlessParams) -> VarianceBreakdown:
     decomposition consistent to a rounding error of i7.
     """
     v7 = i7(d)
-    mid = tail = 0.0
-    if d.rho <= _RHO_SERIES_MAX:  # 0.0 exactly at rho = 0
-        total = _total_series(d.mu, d.rho, d.tau_max)
-    else:
+    total = mid = tail = 0.0
+    if d.rho:  # 0.0 exactly at rho = 0
         pref, pref_tail = _prefactors(d.mu, d.rho)
         head, mid, tail = _split(d.rho, d.tau_max, *_RULES)
-        # an empty theta piece adds nothing, even where pref_tail overflows
-        total = pref * (head + mid) + (pref_tail * tail if tail else 0.0)
-    total = max(total, 0.0)
+        # an empty piece adds nothing, even where its factor overflows
+        total = ((pref * (head + mid) if head or mid else 0.0)
+                 + (pref_tail * tail if tail else 0.0))
+        total = max(total, 0.0)
     return VarianceBreakdown(v7, v7 - total, total, d, mid, tail)
 
 
@@ -240,14 +235,15 @@ def _prefactors(mu: float, rho: float) -> tuple[float, float]:
     """The factors of the u pieces and of the theta piece of the split.
 
     The theta piece is r^2 int I/beta^2 dtheta, and pref r^2 = 2 mu rho /
-    sqrt(pi) needs no rho^2, which would overflow first.
+    sqrt(pi) needs no rho^2, which would overflow first; mu rho is formed
+    before the 2, which is exact, as 2 mu overflows from mu = 9e307.
     """
-    return 4.0 * mu / (math.sqrt(math.pi) * rho), 2.0 * mu * rho / math.sqrt(math.pi)
+    return 4.0 * mu / (math.sqrt(math.pi) * rho), 2.0 * (mu * rho) / math.sqrt(math.pi)
 
 
 def _split(rho: float, tau_max: float, n_u: int, n_theta: int
            ) -> tuple[float, float, float]:
-    """The pieces of the integral for rho > sqrt(2)/2, before their factors.
+    """The pieces of the integral for rho > 0, before their factors.
 
     Returns the closed-form head, the sum of the n_u-point u rule and that
     of the n_theta-point theta rule, 0.0 for each piece that is empty.
@@ -262,58 +258,30 @@ def _split(rho: float, tau_max: float, n_u: int, n_theta: int
     if u_max <= u0:
         return r * u_max - _HALF_SQRT_PI * tau_max, 0.0, 0.0
     head = r * u0 - _HALF_SQRT_PI * sh0
-    u_small = math.acosh(r / _BETA_SMALL)
+    # the u rule ends and the theta rule starts at u_small, where beta = 1/2
+    # (u_small = 0 when r <= 1/2, and the theta rule runs from tau_max to 0)
+    cs = max(r / _BETA_SMALL, 1.0)
+    u_small = math.acosh(cs)
     width = min(u_max, u_small) - u0
-    acc = 0.0
-    for t, w in gauss_legendre(n_u):
-        s = width * t
-        # cosh(u0 + s), without the rounding of u0 itself
-        ch = ch0 * math.cosh(s) + sh0 * math.sinh(s)
-        b = r / ch
-        acc += w * (b - _HALF_SQRT_PI * math.erf(b)) * ch
-    mid = width * acc
-    tail = 0.0
-    theta_lo, theta_hi = math.atan2(1.0, tau_max), math.asin(_BETA_SMALL / r)
-    if u_max > u_small and theta_hi > theta_lo:
+    mid = tail = 0.0
+    if width > 0.0:
+        acc = 0.0
+        for t, w in gauss_legendre(n_u):
+            s = width * t
+            # cosh(u0 + s), without the rounding of u0 itself
+            ch = ch0 * math.cosh(s) + sh0 * math.sinh(s)
+            b = r / ch
+            acc += w * (b - _HALF_SQRT_PI * math.erf(b)) * ch
+        mid = width * acc
+    if u_max > u_small:
+        theta_lo, theta_hi = math.atan2(1.0, tau_max), math.asin(1.0 / cs)
         # near the seam both angles are close to pi/2 and their difference
         # cancels, so where tau_s = cot(theta_hi) < 1 it is taken as one atan
         # (for larger tau_s the product tau_max tau_s could overflow)
-        tau_s = math.sqrt((r / _BETA_SMALL - 1.0) * (r / _BETA_SMALL + 1.0))
+        tau_s = math.sqrt((cs - 1.0) * (cs + 1.0))
         width = (math.atan((tau_max - tau_s) / (1.0 + tau_max * tau_s)) if tau_s < 1.0
                  else theta_hi - theta_lo)
         tail = width * sum(w * _I_over_beta2(r * math.sin(theta_lo + width * t))
                            for t, w in gauss_legendre(n_theta))
     return head, mid, tail
 
-
-def _total_series(mu: float, rho: float, tau_max: float) -> float:
-    """Small-rho power series of the total.
-
-    Integrating the series of I(beta) term by term gives
-
-        total = (4 mu / sqrt(pi)) sum_{k>=1} (-1)^(k+1) rho^(2k)
-                2^(-(2k+1)/2) A_k / ((2k+1) k!)
-
-    with A_k = int_0^tau_max (1 + tau^2)^(-(2k+1)/2) dtau, computed by the
-    standard reduction A_1 = asinh, then upward recurrence. Converges like
-    (rho^2/2)^k / k!, so a handful of terms reach machine precision for
-    any rho below the seam.
-    """
-    x = tau_max
-    s2 = 1.0 + x * x
-    a_k = math.asinh(x)  # will be advanced to A_k inside the loop
-    rho2 = rho * rho
-    out = 0.0
-    power = rho2 / (2.0 * math.sqrt(2.0))  # rho^2 2^(-3/2) at k=1
-    fact = 1.0
-    for k in range(1, 60):
-        a_k = (x * s2 ** (-(2 * k - 1) / 2.0) + (2 * k - 2) * a_k) / (2 * k - 1)
-        term = power * a_k / ((2 * k + 1) * fact)
-        out += term if k % 2 == 1 else -term
-        if abs(term) <= 1e-17 * abs(out):
-            break
-        power *= rho2 / 2.0
-        fact *= k + 1
-    # 4 mu would overflow from mu = 4.4e307 on; scaling out by 4 is exact, so
-    # this rounds as (4 mu / sqrt(pi)) out does, and a zero sum gives 0
-    return mu / math.sqrt(math.pi) * (4.0 * out)

@@ -770,7 +770,7 @@ def test_damping_time_underflow_is_numerical_failure(capsys):
 
 
 def test_variance_at_largest_mu(capsys):
-    # 4 mu overflows in the small-rho series, the total does not
+    # 4 mu / rho overflows where the u piece is empty, the total does not
     argv = ["variance", "--rho", "0.5", "--tau-max", "1", "--mu"]
     assert run([*argv, "1e308"]) == 0
     big = _json_records(capsys)[0]["total"]

@@ -84,6 +84,21 @@ def test_damping_time_saturation_sentinel():
     assert damping_time(p, t_cap=1e12) == 1e12
 
 
+def test_damping_time_where_the_cap_lies_past_tau_1e154():
+    # rho = 0.5 and a time unit of 1.1e-151 s put the cap at tau = 9e168,
+    # past 1.34e154 where 1 + tau^2 overflows; the variance there is the
+    # saturated one, far above pi^2, and the root lies at tau = 0.16, 1.2%
+    # above the short-time closed form
+    p = make_params(1.18e15, 1e-100, 5e-101, 1.0)
+    th = Threshold()
+    t = damping_time(p, th)
+    assert t != T_CAP_DEFAULT
+    at_root = nondimensionalize(make_params(p.m, p.a, p.R, t))
+    assert abs(phase_variance(at_root).total / th.variance_threshold - 1.0) <= 1e-9
+    assert math.isclose(t, damping_time_short(p, threshold=th.variance_threshold),
+                        rel_tol=0.02)
+
+
 def test_damping_time_short_zero_separation():
     p = make_params(1e-16, 1e-6, 0.0, 1.0)
     assert damping_time_short(p) == math.inf

@@ -60,17 +60,23 @@ def test_breakdown_is_consistent_decomposition():
     assert vb.quadrature_error_estimate < 1e-8 * max(vb.total, 1.0)
 
 
-def test_series_and_quadrature_branches_agree():
-    # the implementation switches integration strategy at rho = 0.5
+def test_total_is_continuous_where_the_u_rule_starts():
+    # from rho = sqrt(2)/2 up, where beta at tau = 0 passes 1/2, the u rule
+    # joins the theta piece; the last pair below straddles that point
     for rho in (0.35, 0.49, 0.51, 0.8):
         lo = phase_variance(_d(1.0, rho * 0.9999, 1.0)).total
         hi = phase_variance(_d(1.0, rho * 1.0001, 1.0)).total
         assert lo < hi
         assert math.isclose(lo, hi, rel_tol=1e-3)
-    # direct cross-check straddling the switch point
+    # direct cross-check near rho = 0.5
     t_lo = phase_variance(_d(1.0, 0.4999999, 1.0)).total
     t_hi = phase_variance(_d(1.0, 0.5000001, 1.0)).total
     assert math.isclose(t_lo, t_hi, rel_tol=1e-5)
+    # and straddling rho = sqrt(2)/2 itself
+    t_lo = phase_variance(_d(1.0, math.sqrt(0.5) * (1.0 - 1e-7), 1.0)).total
+    t_hi = phase_variance(_d(1.0, math.sqrt(0.5) * (1.0 + 1e-7), 1.0)).total
+    assert t_lo < t_hi
+    assert math.isclose(t_lo, t_hi, rel_tol=1e-6)
 
 
 def test_integrand_shape():
@@ -170,7 +176,8 @@ def test_deep_spreading_regime_stable():
     assert math.isfinite(v) and v > 0.0
 
 
-# (mu, rho, tau_max) covering the rho^2 series (rho <= sqrt(2)/2), the
+# (mu, rho, tau_max) covering the theta piece alone (rho <= sqrt(2)/2, out
+# to tau_max = 1e300, past the overflow of 1 + tau^2 at 1.34e154), the
 # closed form alone (beta >= 6 up to tau_max), the closed form with the
 # u rule, the u rule with the theta rule, all three pieces, the seams, and
 # the critical-length line tau = rho^2 up to rho = 1e96
@@ -186,6 +193,7 @@ GOLDEN_POINTS = [
     (1.0, 20.0, 10.0), (1.0, 1e3, 500.0), (1.0, 1e10, 3e9),
     (1.0, 20.0, 100.0), (1.0, 1e3, 1e6), (1.0, 6.2e4, 1.4e17), (1.0, 1e8, 1e18),
     (1e-3, 5.0, 7.0), (42.0, 1e4, 1e8), (0.2, 0.4, 3.0), (7.5, 2.5, 0.01),
+    (1.0, 0.5, 1e200), (1.0, 0.01, 1e300), (1.0, 0.7, 1e155),
 ] + [(1.0, r, r * r) for r in (0.6, 0.9, 3.0, 9.0, 30.0, 1e2, 1e3, 1e5, 1e8, 1e12,
                                1e20, 1e34, 1e50, 1e70, 1e96)]
 
@@ -240,9 +248,11 @@ def test_gauss_legendre_rule_is_exact_for_its_degree():
                                 rel_tol=1e-14)
 
 
-# just above rho = sqrt(2)/2 the theta piece spans angles next to pi/2
+# just above rho = sqrt(2)/2 the theta piece spans angles next to pi/2;
+# just below it, the theta piece runs alone, all the way to pi/2
 SEAM_POINTS = [(1.0, 0.70710678395716364, 0.00013079)] + [
-    (mu, math.sqrt(0.5) * (1.0 + 10.0**-k), tau)
+    (mu, math.sqrt(0.5) * (1.0 + sign * 10.0**-k), tau)
+    for sign in (1, -1)
     for k in (3, 6, 9, 12, 15)
     for mu, tau in ((1.0, 1e-6), (0.1, 1e-2), (10.0, 1.0), (1.0, 1e3))
 ]
@@ -272,10 +282,11 @@ def test_saturated_variance_past_cosh_squared_overflow(rho):
 
 
 # one point per path of phase_variance, with the rule orders its total uses
-# (beta >= 6 all the way at rho = 100, tau = 1; at rho = 2 the theta piece
-# is empty up to tau = 1 and present at tau = 10)
+# (beta <= 1/2 all the way at rho = 0.5; beta >= 6 all the way at rho = 100,
+# tau = 1; at rho = 2 the theta piece is empty up to tau = 1 and present at
+# tau = 10)
 LAZY_POINTS = {
-    "series": ((1.0, 0.5, 1.0), set()),
+    "theta_only": ((1.0, 0.5, 1.0), {10}),
     "head_only": ((1.0, 100.0, 1.0), set()),
     "split": ((1.0, 2.0, 1.0), {28}),
     "split_theta_tail": ((1.0, 2.0, 10.0), {28, 10}),
@@ -333,6 +344,11 @@ def test_roots_request_only_the_high_order_rules(rule_orders):
     assert set(rule_orders) == {28, 10}
 
 
-def test_small_rho_series_that_sums_to_zero_at_largest_mu():
-    # 4 mu overflows from mu = 4.4e307; times a zero sum that gave NaN
-    assert phase_variance(_d(1e308, 1e-170, 1.0)).total == 0.0
+def test_small_rho_total_at_largest_mu():
+    # 4 mu / rho overflows, times an empty u piece that would give NaN; the
+    # total is the leading term of its rho^2 series, mu rho^2 / (3 sqrt(pi))
+    # at tau_max = 1, 1.8806e-33 (the next term is rho^2 = 1e-340 smaller)
+    vb = phase_variance(_d(1e308, 1e-170, 1.0))
+    assert math.isclose(vb.total, 1e308 * 1e-170 * 1e-170 / (3.0 * math.sqrt(math.pi)),
+                        rel_tol=1e-14)
+    assert math.isfinite(vb.quadrature_error_estimate)

@@ -125,7 +125,7 @@ CALLS = [
     ("variance", "--mu", "1", "--rho", "100", "--tau-max", "1"),
     # the theta-piece factor overflows where the theta piece is empty: exit 0
     ("variance", "--mu", "1e307", "--rho", "100", "--tau-max", "27"),
-    # 4 mu overflows in the small-rho series, the total does not: exit 0
+    # 4 mu / rho overflows where the u piece is empty, the total does not: exit 0
     ("variance", "--mu", "1e308", "--rho", "0.5", "--tau-max", "1"),
     # (cosh u0)^2 overflows in the closed-form head from rho ~ 1.1e155: exit 0
     ("variance", "--mu", "1", "--rho", "1e160", "--tau-max", "1e300"),
