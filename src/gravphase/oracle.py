@@ -3,12 +3,12 @@
 Every closed form used by the analytic pipeline is re-derived here by an
 independent route: the double-Gaussian Coulomb integrals by importance
 sampling (the Gaussian densities are exact sampling distributions, leaving
-only the bounded-variance 1/|z' - z''| factor to average; z' and z''
-have per-axis variance C1/2, so z' - z'' is one Gaussian of per-axis
-variance C1 and each sample is one normal 3-vector u, scaled by
-sqrt(C1)), the deterministic self-gravity cancellation by translation
-invariance plus MC, and the key error-function integral identity by
-direct quadrature.
+only the bounded-variance 1/|z' - z''| factor to average; z' - z'' is
+sqrt(C1) u for a standard normal 3-vector u, and by symmetry about e_x
+|u - shift e_x| reads only u_x, a normal, and an independent u_y^2 + u_z^2,
+which is 2 Exp(1): each sample is one normal and one exponential), the
+deterministic self-gravity cancellation by translation invariance plus
+MC, and the key error-function integral identity by direct quadrature.
 
 Reproducibility contract: every estimator draws from counter-based Philox
 streams keyed by (seed, domain tag) with the batch index in the counter
@@ -28,8 +28,8 @@ power-of-two rescalings of one another: one statistical check seen at
 three scales, not three independent checks. The three i6 rows are
 correlated the same way, through one draw at three shifts.
 
-Each thread draws into scratch of its own, _BATCH rows of 7 doubles
-(about 3.7 MB), kept while the thread lives: the calling thread's when it
+Each thread draws into scratch of its own, _BATCH rows of 3 doubles
+(about 1.5 MB), kept while the thread lives: the calling thread's when it
 calls with workers <= 1, and each thread of parallel_map's pool, which
 lives as long as the process, otherwise.
 """
@@ -63,8 +63,7 @@ __all__ = [
 # fixed batch size; part of the determinism contract, do not tune per run
 _BATCH = 1 << 16
 
-# each thread's draw buffers (u, scale u - shift e_x and the radii, _BATCH rows),
-# made on its first batch
+# each thread's draw buffers (x, q and a work row, one batch each), made on its first batch
 _scratch = threading.local()
 
 # domain tags decorrelate the streams of the different estimators
@@ -127,40 +126,41 @@ def _mean_inv_distance(
 ) -> list[tuple[float, float]]:
     """Mean and standard error of 1/|scale u - shift e_x| at each (scale, shift) point.
 
-    u is a standard normal 3-vector. Every point reads the same normals:
-    each batch is drawn once and then rescaled and shifted, point by point,
-    so the estimates share their random numbers and each equals what a call
-    with that point alone returns, bit for bit.
+    u is a standard normal 3-vector; the kernel reads shift/scale, and the
+    scale divides the reduced mean and error. Each batch is drawn once and
+    shifted point by point, so each estimate equals a call at its point alone.
     """
     sizes = [min(_BATCH, n - start) for start in range(0, n, _BATCH)]
-    kernel = functools.partial(_inv_distance_batch, seed, tag, points=points)
+    shifts = [shift / scale for scale, shift in points]
+    kernel = functools.partial(_inv_distance_batch, seed, tag, shifts=shifts)
     partials = parallel_map(kernel, range(len(sizes)), sizes, workers=workers)
-    return [_reduce_batches(per_point, n) for per_point in zip(*partials)]
+    reduced = (_reduce_batches(per_point, n) for per_point in zip(*partials))
+    return [(mean / scale, se / scale) for (scale, _), (mean, se) in zip(points, reduced)]
 
 
 def _inv_distance_batch(
-    seed: int, tag: int, batch: int, count: int, points: Sequence[tuple[float, float]]
+    seed: int, tag: int, batch: int, count: int, shifts: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Sum and sum-of-squares of 1/|scale u - shift e_x| over one batch, per point.
+    """Sum of 1/|u - shift e_x| and of its square over one batch, per shift.
 
-    u is ``count`` standard normal 3-vectors. A sample at the pole itself
-    would make the sums infinite, which callers report as a numerical
-    failure; even within 1e-12 scales of it, its chance is below 3e-37.
+    |u - shift e_x|^2 = (x - shift)^2 + q, for ``count`` normals x and as
+    many q = 2 Exp(1). A sample at the pole itself would make the sums
+    infinite, which callers report as a numerical failure; even within
+    1e-12 of it, its chance is below 3e-37.
     """
     if not hasattr(_scratch, "buffers"):
-        _scratch.buffers = (np.empty((_BATCH, 3)), np.empty((_BATCH, 3)), np.empty(_BATCH))
-    u, w, r = (a[:count] for a in _scratch.buffers)
-    stream(seed, tag, batch=batch).standard_normal(out=u)
+        _scratch.buffers = tuple(np.empty(_BATCH) for _ in range(3))
+    x, q, r = (a[:count] for a in _scratch.buffers)
+    rng = stream(seed, tag, batch=batch)
+    rng.standard_normal(out=x)
+    np.multiply(rng.standard_exponential(out=q), 2.0, out=q)
     sums = []
-    for scale, shift in points:
-        np.multiply(u, scale, out=w)
-        w[:, 0] -= shift
-        np.einsum("ij,ij->i", w, w, out=r)
-        np.sqrt(r, out=r)
+    for shift in shifts:
+        np.square(np.subtract(x, shift, out=r), out=r)
+        r += q
         np.divide(1.0, r, out=r)
-        total = float(r.sum())
-        np.multiply(r, r, out=r)
-        sums.append((total, float(r.sum())))
+        total_sq = float(r.sum())
+        sums.append((float(np.sqrt(r, out=r).sum()), total_sq))
     return sums
 
 

@@ -235,10 +235,10 @@ def _prefactors(mu: float, rho: float) -> tuple[float, float]:
     """The factors of the u pieces and of the theta piece of the split.
 
     The theta piece is r^2 int I/beta^2 dtheta, and pref r^2 = 2 mu rho /
-    sqrt(pi) needs no rho^2, which would overflow first; mu rho is formed
-    before the 2, which is exact, as 2 mu overflows from mu = 9e307.
+    sqrt(pi) needs no rho^2, which would overflow first. mu meets rho before
+    the exact power of two, as 4 mu overflows from mu = 4.5e307.
     """
-    return 4.0 * mu / (math.sqrt(math.pi) * rho), 2.0 * (mu * rho) / math.sqrt(math.pi)
+    return 4.0 * (mu / (math.sqrt(math.pi) * rho)), 2.0 * (mu * rho) / math.sqrt(math.pi)
 
 
 def _split(rho: float, tau_max: float, n_u: int, n_theta: int

@@ -178,15 +178,38 @@ def test_persistent_scratch_leaves_no_trace(workers, monkeypatch):
         assert reused == fresh
 
 
+def _value_se(est):
+    return est.value, est.standard_error
+
+
+def _sum_combined_se(rep):
+    # the deterministic terms cancel exactly: the target is 0
+    return rep.sum_value, rep.combined_se
+
+
 @pytest.mark.parametrize("estimate, target", [
-    (lambda seed: mc_i4_spatial(0.25, 2 * N_FAST, seed, workers=1), i4_closed_form(0.25)),
-    (lambda seed: mc_i6_spatial(1.0, 1.0, 2 * N_FAST, seed, workers=1), i6_closed_form(1.0, 1.0)),
-], ids=["i4", "i6"])
+    (lambda seed: _value_se(mc_i4_spatial(0.25, 2 * N_FAST, seed, workers=1)),
+     i4_closed_form(0.25)),
+    (lambda seed: _value_se(mc_i6_spatial(1.0, 1.0, 2 * N_FAST, seed, workers=1)),
+     i6_closed_form(1.0, 1.0)),
+    (lambda seed: _value_se(mc_i6_spatial(1.0, 3.0, 2 * N_FAST, seed, workers=1)),
+     i6_closed_form(1.0, 3.0)),
+    (lambda seed: _sum_combined_se(sn_cancellation_check(1.0, 1.0, 2 * N_FAST, seed, workers=1)),
+     0.0),
+], ids=["i4", "i6", "i6-R3", "cancellation"])
 def test_mc_pulls_across_seeds_are_standard(estimate, target):
     # (value - target) / SE over 200 independent seeds is centred, with unit
     # spread: the reported standard error is calibrated
-    pulls = [(e.value - target) / e.standard_error for e in map(estimate, range(200))]
+    pulls = [(value - target) / se for value, se in map(estimate, range(200))]
     mean = math.fsum(pulls) / len(pulls)
     sd = math.sqrt(math.fsum((p - mean) ** 2 for p in pulls) / (len(pulls) - 1))
     assert abs(mean) < 4.0 / math.sqrt(len(pulls))
     assert 0.8 < sd < 1.2
+
+
+def test_i4_rows_are_exact_power_of_two_rescalings():
+    # the sampling scales sqrt(C1) = 1/2, 1, 2 divide one shared draw
+    quarter, one, four = mc_i4_spatial(C1S, N_PARTIAL, 17, workers=1)
+    assert quarter.value == 2.0 * one.value and four.value == 0.5 * one.value
+    assert quarter.standard_error == 2.0 * one.standard_error
+    assert four.standard_error == 0.5 * one.standard_error

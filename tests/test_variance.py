@@ -352,3 +352,13 @@ def test_small_rho_total_at_largest_mu():
     assert math.isclose(vb.total, 1e308 * 1e-170 * 1e-170 / (3.0 * math.sqrt(math.pi)),
                         rel_tol=1e-14)
     assert math.isfinite(vb.quadrature_error_estimate)
+
+
+def test_u_piece_factor_at_largest_mu():
+    # 4 mu overflows from mu = 4.5e307; the u-piece factor divides mu first,
+    # so the variance stays linear in mu up to the largest double
+    vb = phase_variance(_d(1e308, 3.0, 1.0))
+    assert vb.total == 7.470909922915282e+307
+    assert math.isclose(vb.total, 1e308 * phase_variance(_d(1.0, 3.0, 1.0)).total,
+                        rel_tol=1e-14)
+    assert math.isfinite(vb.i8) and math.isfinite(vb.quadrature_error_estimate)
