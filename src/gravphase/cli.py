@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -50,22 +49,25 @@ from .variance import phase_variance
 __all__ = ["run", "emit", "console_entry"]
 
 
-def _bind_stochastic() -> None:
-    """Bind every name the package loads lazily into this module's globals.
+def _bind_stochastic(module: str) -> None:
+    """Bind every name the package loads lazily from ``module`` into this
+    module's globals.
 
-    Those names import numpy, so only the stochastic subcommands bind them.
-    A name that is already bound keeps its value, so a wrapper set on this
-    module before the first call (a tracer's, a test's) stays in place.
+    Those names import numpy, so only the stochastic subcommands bind them,
+    each only the module it calls. A name that is already bound keeps its
+    value, so a wrapper set on this module before the first call (a
+    tracer's, a test's) stays in place.
     """
     package, g = sys.modules[__package__], globals()
-    for name in _LAZY:
-        g.setdefault(name, getattr(package, name))
+    for name, home in _LAZY.items():
+        if home == module:
+            g.setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str):
     # getattr(cli, name) before the name's first use, as a wrapper does
     if name in _LAZY:
-        _bind_stochastic()
+        _bind_stochastic(_LAZY[name])
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -357,7 +359,7 @@ def _mc_row(check: str, value: float, se: float, target: float, **kw) -> dict:
 
 
 def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
-    _bind_stochastic()
+    _bind_stochastic("oracle")
     n, seed, workers = params["samples"], params["seed"], params.get("workers")
     # the deterministic terms cancel exactly: target 0, so the bound is 3 SE
     rep = sn_cancellation_check(1.0, 1.0, n, seed, workers=workers)
@@ -383,7 +385,7 @@ def _cmd_oracle(params: dict) -> tuple[list[dict], bool]:
 
 
 def _cmd_covariance(params: dict) -> tuple[list[dict], bool]:
-    _bind_stochastic()
+    _bind_stochastic("noisefield")
     grid = FieldGrid(
         n=params["grid_n"], box_length=params["box"], dt=params["dt"],
         n_steps=1, seed=params["seed"],
@@ -412,7 +414,7 @@ def _cmd_covariance(params: dict) -> tuple[list[dict], bool]:
 
 
 def _cmd_simulate(params: dict) -> tuple[list[dict], bool]:
-    _bind_stochastic()
+    _bind_stochastic("noisefield")
     m, a, R, T = _need(params, ("mass", "width", "separation", "horizon"), "simulate")
     pair = make_params(m, a, R, T)
     box = params.get("box")
@@ -509,6 +511,8 @@ def emit(records: list[dict], output_format: str, path: str | None = None) -> No
             if isinstance(value, float) and not math.isfinite(value):
                 raise FloatingPointError(f"non-finite value for field '{key}'")
     if output_format == "csv":
+        import csv  # only CSV output needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)

@@ -38,14 +38,12 @@ the two packets, so F d_s is filtered once per step and shared by every
 member. The packets differ only along x, about the box centre, so the
 spectrum of F d_s is i X(kx) Y(ky) Y(kz) sqrt(P), from three length-n
 transforms, with one magnitude over each orbit of {+-kx} x {+-ky} x
-{+-kz} x {swap ky, kz}. By Parseval <F d_s, w_s> has the law of
-<c_s, z>, c_s the orbit norms and z ~ N(0, I). F d_s is a filtered
-difference of Gaussians, so its spectrum falls like exp(-k^2 C1 / 4),
-and the trailing rows of the |k|^2-ranked orbit table that together hold
-no more than 1e-17 of its energy are cut. A member-step is then one
-Philox draw, one normal per kept orbit, and one reduction, and
-mu dtau sum_s ||c_s||^2 is the lattice-exact ensemble variance, with no
-sampling at all. The covariance estimator needs only |rfftn(w)|^2 P,
+{+-kz} x {swap ky, kz}, and its squared norm is a sum over a cached
+table of those orbits. <F d_s, w_s> is a fixed linear form in white
+normals, so it has exactly the law of ||F d_s|| z, z ~ N(0, 1): a
+member-step is one Philox re-key and one normal, and
+mu dtau sum_s ||F d_s||^2 is the lattice-exact ensemble variance, with
+no sampling at all. The covariance estimator needs only |rfftn(w)|^2 P,
 reduced to its three axis marginals and weighted by cos(2 pi k lag / n),
 so it draws |rfftn(w)|^2 / n^3 straight from its law, one exponential per
 cell, and makes no field.
@@ -67,7 +65,6 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,12 +185,16 @@ def _mark_pool_thread() -> None:
 
 
 @functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's one pool of ``workers`` threads, started on first use.
+def _pool(workers: int):
+    """The process's one ThreadPoolExecutor of ``workers`` threads, started
+    on first use.
 
     Threads start as tasks need them, one per task at most, and exit with
-    the interpreter.
+    the interpreter. concurrent.futures (with logging, about 0.6 MB resident)
+    is imported here, so a run on one worker never loads it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread)
 
 
@@ -230,7 +231,7 @@ def stream(
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not hasattr(_rng, "state"):
         _rng.generator = Generator(Philox(0))
-        _rng.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+        _rng.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     _rng.state["state"] = {"key": (seed, tag), "counter": (0, member, step, batch)}
     _rng.generator.bit_generator.state = _rng.state
@@ -469,27 +470,20 @@ def simulate_phase_variance(
     )
 
 
-# the relative energy of the trailing rows of the |k|^2-ranked orbit table
-# that a step's draw may leave out
-_CUT = 1e-17
-
-
 @functools.cache
 def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
     """One row per orbit of {+-kx} x {+-ky} x {+-kz} x {swap ky, kz} over
-    the whole n^3 spectrum, ranked by (|k|^2, label); cached per n, read-only.
+    the whole n^3 spectrum, in label order; cached per n, read-only.
 
     Returns ``label``: a (3, rows) array of (kx, ky, kz), 0 <= kx <= n/2 and
     0 <= ky <= kz <= n/2; ``weight``: the orbit's cell count in the full n^3
-    spectrum over n^3, times P for unit spacing. Each row is a whole orbit,
-    so every row prefix of the table is a union of orbits.
+    spectrum over n^3, times P for unit spacing.
     """
     h = n // 2
     ky, kz = np.triu_indices(h + 1)
     kx = np.repeat(np.arange(h + 1), ky.size)
     ky, kz = np.tile(ky, h + 1), np.tile(kz, h + 1)
-    rank = np.lexsort((kz, ky, kx, kx * kx + ky * ky + kz * kz))
-    label = np.stack((kx, ky, kz))[:, rank].astype(np.int32)
+    label = np.stack((kx, ky, kz)).astype(np.int32)
     # 2 signs of each k off 0 and n/2, and 2 orders of ky != kz
     count = np.prod(2 - (label % h == 0), axis=0) * (1 + (label[1] != label[2]))
     weight = count / float(n) ** 3 * _octant(n)[tuple(label)]
@@ -498,23 +492,16 @@ def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
     return label, weight
 
 
-def _coordinates(x: np.ndarray, yz: np.ndarray) -> tuple[int, np.ndarray]:
-    """The norms c over each orbit of ``_orbits(n)`` of the real field with
-    rfftn i X(kx) Y(ky) Y(kz) sqrt(P), P for unit spacing, given x = X and
-    yz = Y at k = 0 .. n/2, X odd and Y even: c^2 = (X Y Y)^2 ``weight``.
-    <field, w> over iid standard normals w has the law of <c, z>, z ~ N(0, I).
-    The longest run of trailing rows of the |k|^2-ranked table holding at
-    most ``_CUT`` of the squared norm is left out, and so is a norm that is
-    exactly 0, as on the planes kx = 0 and n/2, where X is 0. Returns how
-    many leading rows are kept, and c.
+def _norm2(x: np.ndarray, yz: np.ndarray) -> float:
+    """The squared norm of the real field with rfftn i X(kx) Y(ky) Y(kz)
+    sqrt(P), P for unit spacing, given x = X and yz = Y at k = 0 .. n/2,
+    X odd and Y even: the sum of (X Y Y)^2 ``weight`` over every row of
+    ``_orbits(n)``. <field, w> over iid standard normals w has the law of
+    that norm times one standard normal.
     """
     label, weight = _orbits(2 * (x.size - 1))
     kx, ky, kz = label
-    e = np.square(x[kx] * yz[ky] * yz[kz]) * weight
-    tail = np.cumsum(e[::-1])[::-1]
-    kept = np.count_nonzero(tail > _CUT * tail[0])
-    c = np.sqrt(e[:kept])
-    return kept, c[c != 0.0]
+    return float((np.square(x[kx] * yz[ky] * yz[kz]) * weight).sum())
 
 
 def _ensemble(
@@ -528,11 +515,11 @@ def _ensemble(
 
     Member ``mem``'s phase is -sqrt(mu dtau) sum_s <g_s, w_s> with
     g_s = F d_s the filtered density difference of step s (the adjoint
-    form of <d_s, F w_s>) and w_s white noise, drawn as <c_s, z_s> with
-    c_s the step's ``_coordinates`` and z_s the first len(c_s) normals of
-    stream (mem, s). The cut depends on g_s alone, never on the seed or
-    the worker count, and one more row only lengthens the draw. The
-    phases are Gaussian with variance mu dtau sum_s ||c_s||^2.
+    form of <d_s, F w_s>) and w_s white noise. <g_s, w_s> has the law of
+    ||g_s|| z_s, z_s standard normal, so it is drawn as that, with z_s the
+    first normal of stream (mem, s) and the steps summed in order. The
+    phases are Gaussian with variance mu dtau sum_s ||g_s||^2, the
+    squared norms ``_norm2`` gives.
 
     rfftn(d_s) = f_s i X(kx) Y(ky) Y(kz), f_s = cell / (pi c1)^(3/2), X the
     Im of the rfft of the x profile difference, Y the Re of the centred
@@ -556,26 +543,26 @@ def _ensemble(
     dtau = d.tau_max / grid.n_steps
     half = box / 2.0
 
-    # coordinates of the filtered density difference per step, shared by all members
-    cs = []
+    # squared norm of the filtered density difference per step, shared by all members
+    norm2 = []
     for s in range(grid.n_steps):
         c1 = 1.0 + ((s + 0.5) * dtau) ** 2
         f = dx**2.5 / (math.pi * c1) ** 1.5  # cell / (pi c1)^(3/2) / sqrt(dx)
         x = f * np.fft.rfft(
             _profile(n, box, half - d.rho / 2.0, c1) - _profile(n, box, half + d.rho / 2.0, c1)
         ).imag
-        cs.append(_coordinates(x, np.fft.rfft(_profile(n, box, half, c1)).real)[1])
+        norm2.append(_norm2(x, np.fft.rfft(_profile(n, box, half, c1)).real))
 
     mu_dtau = d.mu * dtau
     scale = math.sqrt(mu_dtau)
+    norms = [math.sqrt(e) for e in norm2]
 
     def member_phase(mem: int) -> float:
         acc = 0.0
-        for s, c in enumerate(cs):
-            z = stream(grid.seed, _TAG_SIM, mem, s).standard_normal(c.size)
-            acc += float(np.multiply(c, z, out=z).sum())
+        for s, c in enumerate(norms):
+            acc += c * stream(grid.seed, _TAG_SIM, mem, s).standard_normal()
         return -scale * acc
 
     phases = np.array(parallel_map(member_phase, range(n_members), workers=workers))
-    lattice = mu_dtau * math.fsum(float(np.square(c).sum()) for c in cs)
+    lattice = mu_dtau * math.fsum(norm2)
     return phases, lattice

@@ -154,14 +154,14 @@ def _inv_distance_batch(
     rng = stream(seed, tag, batch=batch)
     rng.standard_normal(out=x)
     np.multiply(rng.standard_exponential(out=q), 2.0, out=q)
-    sums = []
-    for shift in shifts:
+    sums = {}
+    for shift in dict.fromkeys(shifts):  # each distinct shift once
         np.square(np.subtract(x, shift, out=r), out=r)
         r += q
         np.divide(1.0, r, out=r)
         total_sq = float(r.sum())
-        sums.append((float(np.sqrt(r, out=r).sum()), total_sq))
-    return sums
+        sums[shift] = (float(np.sqrt(r, out=r).sum()), total_sq)
+    return [sums[shift] for shift in shifts]
 
 
 def i4_closed_form(c1: float) -> float:

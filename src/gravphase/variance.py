@@ -50,7 +50,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 
 from .units import DimensionlessParams
 
@@ -169,36 +168,32 @@ def _I_over_beta2(b: float) -> float:
 def gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
     """The n-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs.
 
-    Each root of P_n is found by Newton's method in floats, polished by one
-    Newton step in 34-digit decimal arithmetic, where its weight
-    2 (1 - x^2) / (n P_(n-1)(x))^2 is also formed; nodes and weights are
-    then correctly rounded, which float arithmetic alone misses by several
+    Each root x of P_n is found by Newton's method on integers that count
+    units of 2^-128, where its weight 2 (1 - x^2) / (n P_(n-1)(x))^2 is
+    also formed; nodes and weights are then correctly rounded (an int / int
+    division rounds once), which float arithmetic alone misses by several
     ulp in the weights.
     """
-    rule = []
+    one, rule = 1 << 128, []
     for i in range(n):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        x = int(math.ldexp(math.cos(math.pi * (i + 0.75) / (n + 0.5)), 128))
         for _ in range(100):
-            p, q = _legendre(n, x)
-            dx = p * (x * x - 1.0) / (n * (x * p - q))
+            p, q = _legendre(n, x, one)
+            dx = p * (x * x - one * one) // (n * (x * p - q * one))
             x -= dx
-            if abs(dx) <= 1e-15:
+            if abs(dx) <= one >> 72:
                 break
-        with localcontext() as ctx:
-            ctx.prec = 34
-            x = Decimal(x)
-            p, q = _legendre(n, x)
-            x -= p * (x * x - 1) / (n * (x * p - q))
-            _, q = _legendre(n, x)
-            rule.append((float((1 - x) / 2), float((1 - x * x) / (n * q) ** 2)))
+        _, q = _legendre(n, x, one)
+        rule.append(((one - x) / (2 * one), (one * one - x * x) / (n * q) ** 2))
     return tuple(rule)
 
 
-def _legendre(n: int, x):
-    """(P_n(x), P_(n-1)(x)) by the three-term recurrence, for float or Decimal x."""
-    p0, p1 = 1, x
+def _legendre(n: int, x: int, one: int) -> tuple[int, int]:
+    """(P_n(x), P_(n-1)(x)) by the three-term recurrence, in integers that
+    count units of 1 / ``one``."""
+    p0, p1 = one, x
     for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        p0, p1 = p1, ((2 * k - 1) * x * p1 // one - (k - 1) * p0) // k
     return p1, p0
 
 

@@ -342,8 +342,8 @@ def test_covariance_is_scale_free(capsys):
 def test_simulate_low_draw_keeps_its_standard_error(capsys):
     # a correct ensemble whose sample variance lies 1.6 exact SE below its
     # lattice variance; a fourth-moment SE estimated from the same low draw
-    # puts it 2.0 SE off the analytic value, so a 3-SE verdict built on the
-    # estimated SE would pass this draw too: only the seed-10 test below
+    # puts it 2.5 SE off the analytic value, so a 3-SE verdict built on the
+    # estimated SE would pass this draw too: only the seed-12 test below
     # separates the exact SE from an estimated one
     argv = ["simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07",
             "--separation", "7.19357e-08", "--horizon", "423.836", "--grid-n", "32",
@@ -353,13 +353,13 @@ def test_simulate_low_draw_keeps_its_standard_error(capsys):
 
 
 def test_simulate_lower_draw_keeps_its_standard_error(capsys):
-    # the same geometry at a seed whose sample variance lies 2.4 exact SE
-    # below its lattice variance (43% below the analytic value, within 3
+    # the same geometry at a seed whose sample variance lies 2.3 exact SE
+    # below its lattice variance (42% below the analytic value, within 3
     # exact SE); a fourth-moment SE estimated from the same draw puts it
-    # 4.9 SE off
+    # 4.5 SE off
     argv = ["simulate", "--mass", "2.0466e-17", "--width", "1.38316e-07",
             "--separation", "7.19357e-08", "--horizon", "423.836", "--grid-n", "32",
-            "--steps", "1", "--members", "64", "--seed", "10", "--workers", "1"]
+            "--steps", "1", "--members", "64", "--seed", "12", "--workers", "1"]
     assert run(argv) == 0
     rec = _json_records(capsys)[0]
     assert rec["passed"] is True

@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from gravphase.noisefield import (
     stream,
 )
 from gravphase.noisefield import (
-    _CUT, _TAG_SIM, _coordinates, _density_grid, _ensemble, _half_spectrum, _octant, _orbits,
+    _TAG_SIM, _density_grid, _ensemble, _half_spectrum, _norm2, _octant, _orbits,
 )
 from gravphase.packets import GaussianPacket
 from gravphase.units import CODATA2018, NATURAL, make_params, nondimensionalize
@@ -317,6 +318,26 @@ def test_standard_error_of_variance_is_the_exact_law(pair):
     assert (ens.standard_error_of_variance == 0.0) == (pair.R == 0.0)
 
 
+def test_sample_variance_follows_the_exact_chi_square_law():
+    # the phases are exactly Gaussian with the lattice variance, so over
+    # seeds (M - 1) s^2 / lattice is chi^2 with k = M - 1 degrees of
+    # freedom: mean k, variance 2k, excess kurtosis 12 / k. Seeds 0-399
+    # and the 4-SE bounds were fixed before the first run.
+    # Geometry: the field_ensemble benchmark slot (rho, tau) = (2, 0.25)
+    pair = _pair(1.0, 2.0, 0.25)
+    members, seeds = 64, 400
+    k = members - 1
+    q = np.array([
+        k * ens.variance / ens.lattice_variance
+        for ens in (simulate_phase_variance(pair, _grid_for(pair, n=32, steps=1, seed=seed),
+                                            members, workers=1)
+                    for seed in range(seeds))
+    ])
+    assert abs(q.mean() - k) <= 4.0 * math.sqrt(2.0 * k / seeds)
+    spread_se = 2.0 * k * math.sqrt(2.0 / (seeds - 1) + 12.0 / (k * seeds))
+    assert abs(q.var(ddof=1) - 2.0 * k) <= 4.0 * spread_se
+
+
 def test_simulate_time_step_refinement_consistent():
     # halving dt must not move the variance beyond joint noise
     pair = _pair(1.0, 1.0, 0.1)
@@ -357,44 +378,37 @@ def _orbit_rows(n):
 
 
 def _drawn_steps(monkeypatch, pair, grid, n_members=0):
-    """``_ensemble``'s phases, and the (kept rows, norms) of each of its steps."""
+    """``_ensemble``'s phases, and the squared norm of each of its steps."""
     steps = []
-    coordinates = noisefield._coordinates
+    norm2 = noisefield._norm2
 
     def recorded(x, yz):
-        steps.append(coordinates(x, yz))
+        steps.append(norm2(x, yz))
         return steps[-1]
 
-    monkeypatch.setattr(noisefield, "_coordinates", recorded)
+    monkeypatch.setattr(noisefield, "_norm2", recorded)
     return _ensemble(pair, grid, n_members)[0], steps
 
 
 def test_member_phase_matches_unfiltered_dot(monkeypatch):
     # adjoint identity <d, F w> = <F d, w>: drawing each step's filtered
-    # density difference in its orbit norms gives the phase of filtering
-    # the white field w that member 0's normals stand for
+    # density difference as its norm times one normal gives the phase of
+    # filtering the white field w that member 0's normal stands for
     pair = _pair(1.0, 1.0, 0.5)
     grid = _grid_for(pair, n=32, steps=2, seed=3)
     phases, steps = _drawn_steps(monkeypatch, pair, grid, 1)
     d = nondimensionalize(pair)
     n, box = grid.n, grid.box_length / pair.a
     amp = np.sqrt(full_spectrum(n, box / n))
-    rows = _orbit_rows(n)
-    # g is 0 on the planes kx = 0 and n/2, up to rounding, and no row there is drawn
-    live = _orbits(n)[0][0] % (n // 2) != 0
     acc = 0.0
-    for s, (dd, (kept, c)) in enumerate(zip(_differences(pair, grid), steps)):
-        # g = Im fftn(F d), odd in kx; an orbit's squared norm is sum g^2 / n^3
+    for s, (dd, norm2) in enumerate(zip(_differences(pair, grid), steps)):
+        # g = Im fftn(F d), odd in kx; its squared norm is sum g^2 / n^3
         g = np.fft.fftn(dd).imag * amp
-        norm2 = np.bincount(rows.ravel(), weights=np.square(g).ravel()) / n**3
-        drawn = np.flatnonzero(live[:kept])
-        assert drawn.size == c.size
-        # each drawn orbit's normal z, spread over its cells as W_k = i z g_k / norm;
+        assert abs(norm2 / (float(np.square(g).sum()) / n**3) - 1.0) <= 1e-12
+        # the step's normal z, spread over every cell as W_k = i z g_k / ||g||;
         # W is odd and imaginary, so w is real and <F d, w> = sum_k g_k W_k / (i n^3)
-        spread = np.zeros(norm2.size)
-        spread[drawn] = stream(grid.seed, _TAG_SIM, 0, s).standard_normal(c.size)
-        spread[drawn] /= np.sqrt(norm2[drawn])
-        w = np.fft.ifftn(1j * spread[rows] * g).real
+        z = stream(grid.seed, _TAG_SIM, 0, s).standard_normal()
+        w = np.fft.ifftn(1j * z * g / math.sqrt(norm2)).real
         phi = np.fft.ifftn(np.fft.fftn(w) * amp).real
         acc += float(np.dot(dd.ravel(), phi.ravel()))
     old = -math.sqrt(d.mu * d.tau_max / grid.n_steps) * acc
@@ -432,7 +446,7 @@ _SPECTRAL_CASES = [(1.0, 1.0, 0.1, 64, 8), (1.0, 1.0, 3.0, 64, 30), (1.0, 2.0, 0
 @pytest.mark.parametrize("mu, rho, tau_max, n, steps", _SPECTRAL_CASES)
 def test_lattice_variance_matches_real_space_filter(mu, rho, tau_max, n, steps):
     # mu dtau sum_s ||F d_s||^2 with F d_s formed in real space by irfftn,
-    # against the kept spectral coordinates the ensemble draws
+    # against the squared norms the ensemble draws from
     pair = _pair(mu, rho, tau_max)
     grid = _grid_for(pair, n=n, steps=steps)
     box = grid.box_length / pair.a
@@ -444,28 +458,6 @@ def test_lattice_variance_matches_real_space_filter(mu, rho, tau_max, n, steps):
     d = nondimensionalize(pair)
     real_space = d.mu * d.tau_max / steps * math.fsum(norms)
     assert abs(_ensemble(pair, grid, 0)[1] / real_space - 1.0) <= 1e-14
-
-
-@pytest.mark.parametrize("mu, rho, tau_max, n, steps", _SPECTRAL_CASES)
-def test_kept_cells_are_a_whole_shell_prefix(monkeypatch, mu, rho, tau_max, n, steps):
-    # the cut keeps a row prefix of the orbit table, whole orbits, and leaves
-    # out the longest run of trailing rows that holds at most _CUT of the
-    # energy, here summed by row over the full fftn spectrum
-    pair = _pair(mu, rho, tau_max)
-    grid = _grid_for(pair, n=n, steps=steps)
-    box = grid.box_length / pair.a
-    amp = np.sqrt(full_spectrum(n, box / n))
-    rows = _orbit_rows(n)
-    dd = next(_differences(pair, grid))
-    energy = np.bincount(rows.ravel(), weights=np.abs(np.fft.fftn(dd) * amp).ravel() ** 2)
-    kept, _ = _drawn_steps(monkeypatch, pair, grid)[1][0]
-    dropped = energy[kept:].sum()
-    assert dropped <= _CUT * energy.sum() < dropped + energy[kept - 1]
-    if n == 64 and tau_max < 1.0:
-        assert kept < energy.size // 10  # the cut leaves out most orbits
-    # a field with no energy keeps nothing
-    kept, c = _coordinates(np.zeros(n // 2 + 1), np.zeros(n // 2 + 1))
-    assert kept == c.size == 0
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -500,55 +492,56 @@ def test_orbits_partition_the_kept_cells(n):
     assert hits.sum() == n**3 and set(hits.tolist()) == {1, 2, 4, 8, 16}
     kx, ky, kz = label
     assert np.allclose(weight, hits / n**3 * _octant(n)[kx, ky, kz], rtol=1e-15, atol=0.0)
-    # distinct labels 0 <= kx <= n/2, 0 <= ky <= kz <= n/2, ranked by (|k|^2, label)
+    # distinct labels 0 <= kx <= n/2, 0 <= ky <= kz <= n/2, in label order
     assert ((0 <= kx) & (kx <= n // 2) & (0 <= ky) & (ky <= kz) & (kz <= n // 2)).all()
-    ranked = list(zip((kx * kx + ky * ky + kz * kz).tolist(), kx.tolist(), ky.tolist(),
-                      kz.tolist()))
-    assert ranked == sorted(set(ranked))
+    labels = list(zip(kx.tolist(), ky.tolist(), kz.tolist()))
+    assert labels == sorted(set(labels))
 
 
-@pytest.mark.parametrize("tau_max, steps, draws", [(0.1, 8, 6104), (3.0, 30, 118776)])
-def test_c12_members_draw_one_normal_per_kept_orbit(monkeypatch, tau_max, steps, draws):
-    # the normals a member draws over all steps at the c12 geometries, n = 64,
-    # one per kept orbit; one per kept cell drew 40960 and 865226
+@pytest.mark.parametrize("tau_max, steps", [(0.1, 8), (3.0, 30)])
+def test_c12_members_draw_one_normal_per_step(monkeypatch, tau_max, steps):
+    # at the c12 geometries, n = 64, each member draws one normal per step;
+    # one per orbit drew 6104 and 118776 a member, one per cell 40960 and 865226
     pair = _pair(1.0, 1.0, tau_max)
-    _, steps = _drawn_steps(monkeypatch, pair, _grid_for(pair, n=64, steps=steps))
-    assert sum(c.size for _, c in steps) == draws
+    grid = _grid_for(pair, n=64, steps=steps, seed=9)
+    draws = []
+
+    def counted(seed, tag, member=0, step=0, batch=0):
+        g = stream(seed, tag, member, step, batch)
+
+        def standard_normal(*size):
+            draws.append((tag, member, step, size))
+            return g.standard_normal(*size)
+
+        return SimpleNamespace(standard_normal=standard_normal)
+
+    monkeypatch.setattr(noisefield, "stream", counted)
+    phases, _ = _ensemble(pair, grid, 4, workers=1)
+    # a draw of no size is one normal
+    assert draws == [(_TAG_SIM, m, s, ()) for m in range(4) for s in range(steps)]
+    monkeypatch.undo()
+    assert np.array_equal(_ensemble(pair, grid, 4, workers=1)[0], phases)
+    # the one normal is the first of the stream, whatever a longer draw holds
+    full = stream(5, _TAG_SIM, 3, 2).standard_normal(4096)
+    for k in (1, 7, 1000, 4095):
+        assert np.array_equal(stream(5, _TAG_SIM, 3, 2).standard_normal(k), full[:k])
+    assert stream(5, _TAG_SIM, 3, 2).standard_normal() == full[0]
 
 
 def test_coordinates_hold_the_norm_of_any_odd_field():
     # a profile odd in x times one even in y and z has the spectrum
     # i X(kx) Y(ky) Y(kz), zero on the planes kx = 0 and n/2; filtered in
-    # real space, its squared norm summed over each row's cells of the full
-    # spectrum gives the norms _coordinates returns, one per row off those
-    # planes, and they carry the whole norm: no row off them is cut
+    # real space, its squared norm is what _norm2 gives from X and Y,
+    # summed by orbit; a field with no energy has norm 0
     n = 32
     mirror = -np.arange(n) % n
     u, v = np.random.default_rng(17).standard_normal((2, n))
     x, y = u - u[mirror], v + v[mirror]
-    kept, c = _coordinates(np.fft.rfft(x).imag, np.fft.rfft(y).real)
-    live = _orbits(n)[0][0] % (n // 2) != 0
-    assert c.size == np.count_nonzero(live[:kept]) == np.count_nonzero(live)
+    norm2 = _norm2(np.fft.rfft(x).imag, np.fft.rfft(y).real)
     field = np.fft.fftn(x[:, None, None] * y[:, None] * y) * np.sqrt(full_spectrum(n, 1.0))
-    rows = _orbit_rows(n)
-    norms = np.sqrt(np.bincount(rows.ravel(), weights=np.abs(field).ravel() ** 2) / n**3)
-    assert np.abs(c - norms[live]).max() <= 1e-12 * c.max()
     filtered = np.fft.ifftn(field).real
-    assert abs(float(np.square(c).sum()) / float(np.square(filtered).sum()) - 1.0) <= 1e-14
-
-
-def test_member_draw_prefix_is_independent_of_the_kept_count(monkeypatch):
-    full = stream(5, _TAG_SIM, 3, 2).standard_normal(4096)
-    for k in (0, 1, 7, 1000, 4095):
-        assert np.array_equal(stream(5, _TAG_SIM, 3, 2).standard_normal(k), full[:k])
-    # so a shorter draw moves each phase only by the left-out energy's share
-    pair = _pair(1.0, 1.0, 0.1)
-    grid = _grid_for(pair, n=32, steps=2, seed=9)
-    phases, lattice = _ensemble(pair, grid, 64)
-    monkeypatch.setattr(noisefield, "_CUT", 1e-10)
-    cut, _ = _ensemble(pair, grid, 64)
-    assert not np.array_equal(cut, phases)
-    assert np.abs(cut - phases).max() <= 1e-4 * math.sqrt(lattice)
+    assert abs(norm2 / float(np.square(filtered).sum()) - 1.0) <= 1e-14
+    assert _norm2(np.zeros(n // 2 + 1), np.zeros(n // 2 + 1)) == 0.0
 
 
 _BLAS_SCRIPT = """
